@@ -1,8 +1,7 @@
-// Command benchsuite regenerates every experiment table in EXPERIMENTS.md
-// (one experiment per theorem/figure/complexity claim of the paper; see
-// DESIGN.md's experiment index) and, with -grid, runs the canonical
-// scenario grid — every registered algorithm crossed with the topology,
-// scheduler and Fack axes — in parallel through internal/harness.
+// Command benchsuite runs the canonical scenario grid — every registered
+// algorithm crossed with the topology, scheduler and Fack axes, plus two
+// fault grids — in parallel through internal/harness, and prints one row
+// per cell.
 //
 // The grid's topology zoo covers every registered family (grammar in
 // cmd/amacsim's package doc): clique:N, line:N, ring:N, star:N, grid:RxC,
@@ -13,106 +12,42 @@
 //
 // Usage:
 //
-//	benchsuite [-only E6] [-q]            experiments
-//	benchsuite -grid [-json] [-workers N] full scenario grid
+//	benchsuite [-json] [-workers N] [-cpuprofile FILE] [-memprofile FILE]
 //
-// Both modes accept -cpuprofile FILE and -memprofile FILE, writing pprof
-// CPU and heap profiles over the whole run — experiments or grid, worker
-// pool included — so a wall-clock investigation starts from a profile
-// instead of a guess:
+// -cpuprofile and -memprofile write pprof CPU and heap profiles over the
+// whole sweep, worker pool included, so a wall-clock investigation starts
+// from a profile instead of a guess:
 //
-//	benchsuite -grid -cpuprofile cpu.out && go tool pprof cpu.out
+//	benchsuite -cpuprofile cpu.out && go tool pprof cpu.out
 //
-// Exit status is non-zero when any experiment fails its shape check or any
-// grid cell violates a consensus property.
+// Exit status is 1 when any cell violates a consensus property and 2 on a
+// setup error. The paper's theorems and complexity claims are checked by
+// the tests of the packages that implement them; cmd/lowerbounds runs the
+// impossibility constructions.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"github.com/absmac/absmac/internal/exp"
 	"github.com/absmac/absmac/internal/harness"
 )
 
 func main() {
-	only := flag.String("only", "", "run a single experiment by id (e.g. E6)")
-	quiet := flag.Bool("q", false, "print only the summary line per experiment")
-	grid := flag.Bool("grid", false, "run the canonical scenario grid instead of the experiments")
-	jsonOut := flag.Bool("json", false, "grid: emit JSON instead of a text table")
-	workers := flag.Int("workers", 0, "grid: worker pool width (0 = GOMAXPROCS)")
+	jsonOut := flag.Bool("json", false, "emit JSON instead of a text table")
+	workers := flag.Int("workers", 0, "worker pool width (0 = GOMAXPROCS)")
 	prof := harness.RegisterProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	// Flags have no effect outside their mode; fail loudly rather than
-	// silently drop them.
-	expOnly := map[string]bool{"only": true, "q": true}
-	gridOnly := map[string]bool{"json": true, "workers": true}
-	var stray []string
-	flag.Visit(func(f *flag.Flag) {
-		if (*grid && expOnly[f.Name]) || (!*grid && gridOnly[f.Name]) {
-			stray = append(stray, "-"+f.Name)
-		}
-	})
-	if len(stray) > 0 {
-		if *grid {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s ignored with -grid\n", strings.Join(stray, ", "))
-		} else {
-			fmt.Fprintf(os.Stderr, "benchsuite: %s only apply with -grid\n", strings.Join(stray, ", "))
-		}
-		os.Exit(2)
-	}
-
-	// Profiling applies in both modes (-cpuprofile/-memprofile are
-	// deliberately in neither stray set).
 	stopProf, err := prof.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchsuite:", err)
 		os.Exit(2)
 	}
-	var code int
-	if *grid {
-		code = runGrid(*workers, *jsonOut)
-	} else {
-		code = runExperiments(*only, *quiet)
-	}
+	code := runGrid(*workers, *jsonOut)
 	stopProf()
 	os.Exit(code)
-}
-
-func runExperiments(only string, quiet bool) int {
-	experiments := exp.All()
-	failed := 0
-	ran := 0
-	for _, e := range experiments {
-		if only != "" && e.ID != only {
-			continue
-		}
-		ran++
-		if quiet {
-			status := "PASS"
-			if !e.OK {
-				status = "FAIL"
-			}
-			fmt.Printf("%-4s %-4s %s\n", e.ID, status, e.Title)
-		} else {
-			fmt.Println(e.Render())
-		}
-		if !e.OK {
-			failed++
-		}
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: no experiment matches -only=%s\n", only)
-		return 2
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchsuite: %d experiment(s) failed their shape checks\n", failed)
-		return 1
-	}
-	return 0
 }
 
 // canonicalGrids returns the full sweep: every algorithm on the single-hop
@@ -156,7 +91,7 @@ func canonicalGrids() []harness.Grid {
 	}
 	// Crash patterns on the single-hop topology, restricted to the
 	// crash-tolerant algorithms (twophase stalls without its coordinator
-	// — that regime belongs to the lower-bound experiments, not the
+	// — that regime belongs to the lower-bound tests, not the
 	// always-green canonical grid; gatherall waits for n values, so any
 	// start-time crash starves it).
 	faultclique := harness.Grid{

@@ -6,12 +6,15 @@
 // Fack), both of its algorithms (two-phase consensus for single-hop
 // networks, wPAXOS for multihop networks), the baselines its analysis
 // argues against, and executable versions of all four lower-bound
-// constructions. See README.md for a tour, DESIGN.md for the system
-// inventory, and EXPERIMENTS.md for the paper-vs-measured record.
+// constructions. Each of the paper's results is checked by the tests of
+// the package that implements it: the lower bounds in internal/lowerbound,
+// two-phase in internal/core/twophase, wPAXOS in internal/core/wpaxos, the
+// flooding baselines in internal/baseline, the randomized extension in
+// internal/ext/benor.
 //
 // The root package carries no code — the library lives under internal/
 // (this is a research artifact: the stable entry points are the example
-// programs, the cmd/ tools, and the benchmarks in bench_test.go).
+// programs, the cmd/ tools, and the perfbench benchmark).
 //
 // internal/harness is the scenario entry point: it names algorithms,
 // topologies, input patterns, schedulers, crash patterns and unreliable
@@ -31,9 +34,9 @@
 // chords, each with an optional @Q delivery probability) build the
 // unreliable dual graph of the Kuhn–Lynch–Newport model variant, with
 // consensus properties judged over the surviving nodes. cmd/amacsim
-// (single cell and -sweep), cmd/benchsuite -grid and the examples are all
-// built on it; see cmd/amacsim's package comment for the sweep grammar —
-// e.g.
+// (single cell and -sweep), cmd/benchsuite's canonical grid and the
+// examples are all built on it; see cmd/amacsim's package comment for the
+// sweep grammar — e.g.
 //
 //	amacsim -sweep -algos floodpaxos -topos ring:9 -scheds random \
 //	        -facks 4 -crashes one@0,midbroadcast \
@@ -214,12 +217,12 @@
 // new push can reach the exposed buckets; and events live in a dense
 // value slab indexed by int32 with an intrusive free chain, so the GC
 // never scans the queue and slab growth amortizes to one allocation per
-// doubling. Config.QueueWindow tunes the hybrid (0 sizes the ring to the
-// scheduler's Fack, negative forces the pure reference heap), and the
-// harness differential queue test drives both — plus a deliberately tiny
-// ring that migrates constantly — through every registered scheduler,
-// crash pattern and overlay family, asserting identical event sequences,
-// results and fingerprints.
+// doubling. Production engines size the ring to the scheduler's Fack.
+// The differential queue test in internal/sim sets an unexported window
+// through a test-only hook to force the pure reference heap and a
+// deliberately tiny ring that migrates constantly, and drives all three
+// through every registered scheduler, crash pattern and overlay family,
+// asserting identical event sequences, results and fingerprints.
 //
 // # Observability
 //

@@ -7,7 +7,8 @@
 // sees. Messages hold O(1) ids, so a node can forward only one response
 // per broadcast: near bottlenecks the backlog is Theta(n) messages and the
 // proposer needs Theta(n*Fack) time to count a majority — versus wPAXOS's
-// O(D*Fack) aggregation. Experiment E7 measures the contrast.
+// O(D*Fack) aggregation. TestSlowerThanWPaxosOnBottleneck measures the
+// contrast.
 //
 // Like wPAXOS it assumes unique ids and knowledge of n. Leader election is
 // the shared suspicion-based Ω detector (internal/core/wpaxos/detector.go):

@@ -62,11 +62,12 @@ func TestSingleNode(t *testing.T) {
 
 // TestSlowerThanWPaxosOnBottleneck is the package's reason to exist: on a
 // hub topology the per-acceptor response flood must cost visibly more time
-// than wPAXOS's aggregated responses at the same n and D.
+// than wPAXOS's aggregated responses at the same n and D, and the gap must
+// have the Section 4.2 shape — at fixed D the flood grows linearly in n
+// while wPAXOS stays flat.
 func TestSlowerThanWPaxosOnBottleneck(t *testing.T) {
-	g := graph.StarOfLines(24, 2) // 49 nodes, diameter 4
-	inputs := mixed(g.N())
-	runWith := func(f amac.Factory) int64 {
+	runWith := func(g *graph.Graph, f amac.Factory) int64 {
+		inputs := mixed(g.N())
 		res := sim.Run(sim.Config{
 			Graph:           g,
 			Inputs:          inputs,
@@ -76,14 +77,30 @@ func TestSlowerThanWPaxosOnBottleneck(t *testing.T) {
 		})
 		rep := consensus.Check(inputs, res)
 		if !rep.OK() {
-			t.Fatalf("%v", rep.Errors)
+			t.Fatalf("n=%d: %v", g.N(), rep.Errors)
 		}
 		return res.MaxDecideTime
 	}
-	tFlood := runWith(NewFactory(g.N()))
-	tTree := runWith(wpaxos.NewFactory(wpaxos.Config{N: g.N()}))
-	if float64(tFlood) < 1.5*float64(tTree) {
-		t.Fatalf("flood=%d tree=%d: expected the flooding baseline to be clearly slower", tFlood, tTree)
+	var ns, floods, trees []int64
+	for _, arms := range []int{4, 16, 24, 48} {
+		g := graph.StarOfLines(arms, 2) // diameter 4 at every n
+		tFlood := runWith(g, NewFactory(g.N()))
+		tTree := runWith(g, wpaxos.NewFactory(wpaxos.Config{N: g.N()}))
+		if arms >= 16 && float64(tFlood) < 1.5*float64(tTree) {
+			t.Fatalf("n=%d flood=%d tree=%d: expected the flooding baseline to be clearly slower", g.N(), tFlood, tTree)
+		}
+		ns, floods, trees = append(ns, int64(g.N())), append(floods, tFlood), append(trees, tTree)
+	}
+	// Growth per added node between the smallest and largest star: the
+	// flood pays at least half a time unit per node, wPAXOS at most a
+	// third of the flood's rate.
+	last := len(ns) - 1
+	dn := float64(ns[last] - ns[0])
+	floodSlope := float64(floods[last]-floods[0]) / dn
+	treeSlope := float64(trees[last]-trees[0]) / dn
+	if floodSlope < 0.5 || treeSlope > floodSlope/3 {
+		t.Fatalf("decide time per node: flood %.3f, wPAXOS %.3f (n=%v flood=%v tree=%v): want flood >= 0.5 and wPAXOS <= flood/3",
+			floodSlope, treeSlope, ns, floods, trees)
 	}
 }
 

@@ -7,7 +7,7 @@
 // restriction — so every node must flood n distinct pairs. On bottleneck
 // topologies (for example graph.StarOfLines) the hub relays Theta(n) pairs
 // one broadcast at a time, which is exactly the Theta(n*Fack) behaviour
-// wPAXOS's aggregating trees avoid; experiment E7 measures the contrast.
+// wPAXOS's aggregating trees avoid; TestBottleneckLinearInN measures it.
 //
 // A node decides once it knows all n pairs, choosing the minimum value
 // (any deterministic function of the full multiset preserves agreement and

@@ -105,7 +105,10 @@ func TestEarlyDeciderForcesZero(t *testing.T) {
 }
 
 // TestExhaustiveSmallCliques checks every input combination on cliques of
-// 2..5 nodes under several schedulers.
+// 2..5 nodes under several schedulers, then both alternating input
+// patterns on cliques of 33 and 64 nodes under the two deterministic
+// adversaries. The algorithm is never told n or who participates
+// (Section 4.1), and it still decides within the 4*Fack envelope.
 func TestExhaustiveSmallCliques(t *testing.T) {
 	scheds := map[string]func() sim.Scheduler{
 		"sync":      func() sim.Scheduler { return sim.Synchronous{} },
@@ -121,6 +124,28 @@ func TestExhaustiveSmallCliques(t *testing.T) {
 				rep := consensus.Check(inputs, res)
 				if !rep.OK() {
 					t.Fatalf("n=%d mask=%b sched=%s: %v", n, mask, name, rep.Errors)
+				}
+			}
+		}
+	}
+	for _, n := range []int{33, 64} {
+		for _, mk := range []func() sim.Scheduler{
+			func() sim.Scheduler { return sim.MaxDelay{F: 6} },
+			func() sim.Scheduler { return &sim.EdgeOrder{MaxDegree: n} },
+		} {
+			for shift := 0; shift < 2; shift++ {
+				inputs := make([]amac.Value, n)
+				for i := range inputs {
+					inputs[i] = amac.Value((i + shift) % 2)
+				}
+				sched := mk()
+				res := run(t, n, inputs, sched)
+				rep := consensus.Check(inputs, res)
+				if !rep.OK() {
+					t.Fatalf("n=%d shift=%d sched=%T: %v", n, shift, sched, rep.Errors)
+				}
+				if f := sched.Fack(); res.MaxDecideTime > 4*f {
+					t.Fatalf("n=%d shift=%d sched=%T: decision time %d exceeds 4*Fack=%d", n, shift, sched, res.MaxDecideTime, 4*f)
 				}
 			}
 		}
@@ -159,32 +184,37 @@ func TestRandomCensus(t *testing.T) {
 // terminate (bivalent nodes wait on a dead witness), but agreement and
 // validity hold among any nodes that do decide.
 func TestCrashLosesTerminationNotSafety(t *testing.T) {
-	n := 4
-	foundStall := false
-	for crashAt := int64(1); crashAt <= 6 && !foundStall; crashAt++ {
-		inputs := []amac.Value{0, 1, 1, 1}
-		res := sim.Run(sim.Config{
-			Graph:     graph.Clique(n),
-			Inputs:    inputs,
-			Factory:   Factory,
-			Scheduler: &sim.EdgeOrder{MaxDegree: n},
-			Crashes:   []sim.Crash{{Node: 0, At: crashAt}},
-			Audit:     true,
-		})
-		rep := consensus.Check(inputs, res)
-		// Safety must hold unconditionally.
-		if !rep.Agreement {
-			t.Fatalf("crashAt=%d: agreement violated: %v", crashAt, rep.Errors)
+	for _, n := range []int{3, 4, 7} {
+		// Node 0 holds the lone 0; every other node starts with 1.
+		inputs := make([]amac.Value, n)
+		for i := 1; i < n; i++ {
+			inputs[i] = 1
 		}
-		if rep.SomeoneDecided && !rep.Validity {
-			t.Fatalf("crashAt=%d: validity violated: %v", crashAt, rep.Errors)
+		foundStall := false
+		for crashAt := int64(1); crashAt <= 6 && !foundStall; crashAt++ {
+			res := sim.Run(sim.Config{
+				Graph:     graph.Clique(n),
+				Inputs:    inputs,
+				Factory:   Factory,
+				Scheduler: &sim.EdgeOrder{MaxDegree: n},
+				Crashes:   []sim.Crash{{Node: 0, At: crashAt}},
+				Audit:     true,
+			})
+			rep := consensus.Check(inputs, res)
+			// Safety must hold unconditionally.
+			if !rep.Agreement {
+				t.Fatalf("n=%d crashAt=%d: agreement violated: %v", n, crashAt, rep.Errors)
+			}
+			if rep.SomeoneDecided && !rep.Validity {
+				t.Fatalf("n=%d crashAt=%d: validity violated: %v", n, crashAt, rep.Errors)
+			}
+			if !rep.Termination {
+				foundStall = true
+			}
 		}
-		if !rep.Termination {
-			foundStall = true
+		if !foundStall {
+			t.Fatalf("n=%d: no crash time caused a termination failure; expected at least one (Theorem 3.2)", n)
 		}
-	}
-	if !foundStall {
-		t.Fatal("no crash time caused a termination failure; expected at least one (Theorem 3.2)")
 	}
 }
 
@@ -230,8 +260,8 @@ func TestMessageIDCounts(t *testing.T) {
 	}
 }
 
-// TestTimeScalesWithFackNotN is the shape check behind experiment E5:
-// decision time grows linearly in Fack and stays flat in n.
+// TestTimeScalesWithFackNotN is the shape check of Theorem 4.1: decision
+// time grows linearly in Fack and stays flat in n.
 func TestTimeScalesWithFackNotN(t *testing.T) {
 	time := func(n int, f int64) int64 {
 		inputs := bits(n, 0x55555555)

@@ -15,11 +15,6 @@ type Config struct {
 	N int
 	// Audit optionally instruments the Lemma 4.2 counting invariant.
 	Audit *CountAudit
-	// NoTreePriority disables the tree queue's leader-first pinning
-	// (Algorithm 4's UpdateQ optimization). Ablation only: Lemma 4.5's
-	// fast stabilization argument relies on the priority; correctness
-	// does not. Experiment E11's ablation row measures the difference.
-	NoTreePriority bool
 }
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
@@ -57,7 +52,6 @@ type Node struct {
 	n     int
 	input amac.Value
 	audit *CountAudit
-	noPri bool
 
 	det    *Detector
 	change changeService
@@ -108,11 +102,8 @@ type Node struct {
 	decision amac.Value
 
 	// maxTagUsed tracks the largest tag this node proposed with
-	// (experiment E8 / Lemma 4.4).
+	// (Lemma 4.4; TestTagGrowthModest bounds it).
 	maxTagUsed int64
-	// lastLeaderUpdate and lastLeaderDistUpdate record stabilization
-	// times for the GST decomposition of experiment E6.
-	lastLeaderUpdate, lastLeaderDistUpdate int64
 
 	// mreg is the metrics registry handed down by the substrate (nil when
 	// metrics are off); met holds the node's counter handles (zero =
@@ -160,7 +151,6 @@ func NewGeneral(input amac.Value, cfg Config) *Node {
 		n:         cfg.N,
 		input:     input,
 		audit:     cfg.Audit,
-		noPri:     cfg.NoTreePriority,
 		seenProps: make(map[Proposition]bool),
 		stateTbl:  make(map[amac.NodeID]StateMsg),
 		chosen:    make(map[ProposalNum]*chosenTally),
@@ -391,11 +381,8 @@ func (nd *Node) onLeader(m LeaderMsg) {
 // queue invariants after the leader estimate moved (a new maximum member,
 // a demotion, or a wrap-around re-promotion).
 func (nd *Node) onOmegaChange() {
-	nd.lastLeaderUpdate = nd.api.Now()
 	// OnLeaderChange (Algorithm 4): re-pin the tree queue.
-	if !nd.noPri {
-		nd.tree.prioritize(nd.det.Omega())
-	}
+	nd.tree.prioritize(nd.det.Omega())
 	// The fast-path response queue only ever holds material for the
 	// current leader (Section 4.2.1 queue invariants); responses to
 	// other proposers travel as state gossip instead.
@@ -404,11 +391,7 @@ func (nd *Node) onOmegaChange() {
 }
 
 func (nd *Node) onSearch(m SearchMsg) {
-	pin := nd.det.Omega()
-	if nd.noPri {
-		pin = amac.NoID
-	}
-	if !nd.tree.receive(m, pin) {
+	if !nd.tree.receive(m, nd.det.Omega()) {
 		return
 	}
 	nd.det.Novel(nd.api.Now())
@@ -417,7 +400,6 @@ func (nd *Node) onSearch(m SearchMsg) {
 	// Algorithm 3's "Omega_u or dist_u updated" is the one that yields
 	// the paper's O(D*Fack) global stabilization time.
 	if m.Root == nd.det.Omega() {
-		nd.lastLeaderDistUpdate = nd.api.Now()
 		nd.localChange()
 	}
 }
@@ -811,12 +793,6 @@ func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Om
 // MaxTagUsed returns the largest proposal tag this node proposed with
 // (0 when it never proposed); Lemma 4.4 bounds it polynomially in n.
 func (nd *Node) MaxTagUsed() int64 { return nd.maxTagUsed }
-
-// StabilizationTimes returns the times of the node's last leader-estimate
-// update and last leader-distance update, for the E6 GST decomposition.
-func (nd *Node) StabilizationTimes() (leaderUpdate, distUpdate int64) {
-	return nd.lastLeaderUpdate, nd.lastLeaderDistUpdate
-}
 
 var (
 	_ amac.Algorithm = (*Node)(nil)

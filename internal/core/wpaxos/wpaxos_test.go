@@ -100,9 +100,11 @@ func TestLeaderFarFromCenter(t *testing.T) {
 }
 
 func TestDecisionTimeScalesWithDiameter(t *testing.T) {
-	// Theorem 4.6: decisions within O(D*Fack). The constant here is an
-	// empirical envelope (see EXPERIMENTS.md): comfortably small, and the
-	// point is that it does not grow with D.
+	// Theorem 4.6: decisions within O(D*Fack). The constants here are
+	// empirical envelopes: comfortably small, and the point is that they
+	// do not grow with D. Lines vary D alone; a grid, a tree and a random
+	// graph check decide <= 25*D*Fack on other families, at two bounds
+	// and four seeds each.
 	const f = 4
 	for _, d := range []int{4, 8, 16, 32} {
 		g := graph.Line(d + 1)
@@ -112,6 +114,20 @@ func TestDecisionTimeScalesWithDiameter(t *testing.T) {
 		bound := int64(20 * (d + 1) * f)
 		if res.MaxDecideTime > bound {
 			t.Fatalf("D=%d: decision time %d exceeds envelope %d", d, res.MaxDecideTime, bound)
+		}
+	}
+	for _, g := range []*graph.Graph{graph.Grid(6, 6), graph.BalancedTree(2, 5), graph.RandomConnected(48, 0.08, 7)} {
+		d := int64(g.Diameter())
+		inputs := mixedInputs(g.N())
+		for _, fack := range []int64{2, 8} {
+			for seed := int64(0); seed < 4; seed++ {
+				res, audit := runOn(t, g, inputs, sim.NewRandom(fack, seed), nil)
+				checkOK(t, "family", inputs, res, audit)
+				if bound := 25 * d * fack; res.MaxDecideTime > bound {
+					t.Fatalf("n=%d D=%d Fack=%d seed %d: decision time %d exceeds 25*D*Fack=%d",
+						g.N(), d, fack, seed, res.MaxDecideTime, bound)
+				}
+			}
 		}
 	}
 }
@@ -171,8 +187,8 @@ func TestValidityUnanimous(t *testing.T) {
 }
 
 func TestAggregationAuditAcrossSeeds(t *testing.T) {
-	// E9's property: c(p) <= a(p) under scheduler churn, topology
-	// variety, and adversarial serialization.
+	// Lemma 4.2: c(p) <= a(p) under scheduler churn, topology variety,
+	// and adversarial serialization.
 	for seed := int64(0); seed < 10; seed++ {
 		g := graph.RandomConnected(15, 0.12, seed)
 		inputs := mixedInputs(15)
@@ -182,12 +198,24 @@ func TestAggregationAuditAcrossSeeds(t *testing.T) {
 			t.Fatal("audit saw no propositions; instrumentation broken?")
 		}
 	}
+	// The same invariant on a long line, a grid and a hub topology, where
+	// trees are deep or the hub aggregates many subtrees at once.
+	for _, g := range []*graph.Graph{graph.Line(16), graph.Grid(5, 5), graph.StarOfLines(6, 3)} {
+		inputs := mixedInputs(g.N())
+		for seed := int64(0); seed < 6; seed++ {
+			res, audit := runOn(t, g, inputs, sim.NewRandom(1+seed%5, seed*7+3), nil)
+			checkOK(t, "audit-family", inputs, res, audit)
+			if audit.Propositions() == 0 {
+				t.Fatal("audit saw no propositions; instrumentation broken?")
+			}
+		}
+	}
 }
 
 func TestTagGrowthModest(t *testing.T) {
 	// Lemma 4.4: tags stay polynomially bounded; empirically they stay
 	// tiny. Track the max tag used across nodes.
-	for _, n := range []int{8, 16, 32} {
+	for _, n := range []int{8, 16, 32, 64} {
 		g := graph.RandomConnected(n, 0.1, int64(n))
 		inputs := mixedInputs(n)
 		var nodes []*Node
@@ -213,8 +241,8 @@ func TestTagGrowthModest(t *testing.T) {
 				maxTag = nd.MaxTagUsed()
 			}
 		}
-		if maxTag > int64(4*n*n) {
-			t.Fatalf("n=%d: max tag %d exceeds the O(n^2) change-event budget", n, maxTag)
+		if maxTag > int64(n*n) {
+			t.Fatalf("n=%d: max tag %d exceeds the n^2 change-event budget", n, maxTag)
 		}
 	}
 }
@@ -288,8 +316,8 @@ func TestIntrospectionAfterRun(t *testing.T) {
 // reliable ones. wPAXOS's safety must survive arbitrary extra deliveries
 // over unreliable edges. Liveness legitimately may NOT survive — the tree
 // can adopt a parent across an unreliable edge and lose a response — which
-// is precisely the open question the paper states in Section 2; experiment
-// E11 quantifies it. This test asserts the unconditional part only.
+// is precisely the open question the paper states in Section 2. This test
+// asserts the unconditional part only.
 func TestSafetyUnderUnreliableLinks(t *testing.T) {
 	terminated := 0
 	const seeds = 6

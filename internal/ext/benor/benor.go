@@ -8,8 +8,8 @@
 // our crash failure ... lower bounds". Theorem 3.2 shows deterministic
 // consensus is impossible with one crash; Ben-Or's coin restores
 // termination with probability 1 while keeping agreement and validity
-// unconditional. Experiment E12 runs this algorithm through the very crash
-// schedules that freeze the two-phase algorithm.
+// unconditional. TestCrashToleranceCircumventsThm32 runs it under crash
+// schedules of the kind that freeze the two-phase algorithm.
 //
 // The round structure (for node u with estimate x, round r):
 //

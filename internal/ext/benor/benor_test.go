@@ -63,21 +63,33 @@ func TestUnanimousDecidesRoundOne(t *testing.T) {
 // some schedule (Theorem 3.2) — the randomized algorithm keeps
 // terminating, with safety unconditional.
 func TestCrashToleranceCircumventsThm32(t *testing.T) {
-	n := 5
-	f := 2
-	for seed := int64(0); seed < 12; seed++ {
-		inputs := []amac.Value{0, 1, 0, 1, 1}
-		crashes := []sim.Crash{
-			{Node: int(seed) % n, At: 1 + seed%5},
-			{Node: (int(seed) + 2) % n, At: 3 + seed%7},
-		}
-		res := run(n, inputs, Config{N: n, F: f, Seed: seed}, sim.NewRandom(4, seed*13+5), crashes)
-		rep := consensus.Check(inputs, res)
-		if !rep.OK() {
-			t.Fatalf("seed %d: %v", seed, rep.Errors)
-		}
-		if res.Cutoff {
-			t.Fatalf("seed %d: run hit the event cap without deciding", seed)
+	for _, tc := range []struct {
+		f      int
+		inputs []amac.Value
+	}{
+		{1, []amac.Value{0, 1, 1}},
+		{2, []amac.Value{0, 1, 0, 1, 1}},
+		{3, []amac.Value{0, 1, 0, 1, 0, 1, 1}},
+	} {
+		n := len(tc.inputs)
+		for seed := int64(0); seed < 12; seed++ {
+			// f crashes on distinct nodes at seed-dependent times.
+			crashes := []sim.Crash{
+				{Node: int(seed) % n, At: 1 + seed%5},
+				{Node: (int(seed) + 2) % n, At: 3 + seed%7},
+				{Node: (int(seed) + 4) % n, At: 2 + seed%3},
+			}[:tc.f]
+			// A random schedule, then the edge-order adversary.
+			for _, sched := range []sim.Scheduler{sim.NewRandom(4, seed*13+5), &sim.EdgeOrder{MaxDegree: n}} {
+				res := run(n, tc.inputs, Config{N: n, F: tc.f, Seed: seed}, sched, crashes)
+				rep := consensus.Check(tc.inputs, res)
+				if !rep.OK() {
+					t.Fatalf("n=%d seed %d %T: %v", n, seed, sched, rep.Errors)
+				}
+				if res.Cutoff {
+					t.Fatalf("n=%d seed %d %T: run hit the event cap without deciding", n, seed, sched)
+				}
+			}
 		}
 	}
 }

@@ -91,9 +91,10 @@ func BalancedTree(branch, depth int) *Graph {
 }
 
 // StarOfLines returns `arms` disjoint paths of length armLen joined at a
-// central hub (node 0). It is the bottleneck topology used by experiment
-// E7: diameter 2*armLen while the hub must relay Theta(n) information,
-// which is exactly where per-id flooding degrades to Theta(n*Fack).
+// central hub (node 0). It is the bottleneck topology of floodpaxos's
+// TestSlowerThanWPaxosOnBottleneck: diameter 2*armLen while the hub must
+// relay Theta(n) information, which is exactly where per-id flooding
+// degrades to Theta(n*Fack).
 func StarOfLines(arms, armLen int) *Graph {
 	if arms < 1 || armLen < 1 {
 		panic(fmt.Sprintf("graph: invalid star-of-lines arms=%d armLen=%d", arms, armLen))

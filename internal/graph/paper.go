@@ -21,9 +21,9 @@ import (
 // ambiguous in the source; we use a reconstruction with identical node
 // accounting (gadget size d+k+4, total 3(d+k)+12 = n') and identical
 // network-A diameter D = 2d+2. Our three-fold cover B satisfies property
-// (*) exactly but has diameter D+1 rather than D; experiments therefore
-// hand algorithms a common diameter bound valid for both networks, which
-// preserves the force of the construction (see DESIGN.md).
+// (*) exactly but has diameter D+1 rather than D; the lower-bound harness
+// therefore hands algorithms a common diameter bound valid for both
+// networks, which preserves the force of the construction.
 
 // Gadget holds the local node indexing of one Figure 1 gadget. Local
 // indices: C() is the connector, A(i) for i in [1,d] is the spine,

@@ -133,6 +133,11 @@ func (c *caches) overlay(spec string, t Topo, base *graph.Graph, seed int64) (*g
 	c.mu.Unlock()
 	e.once.Do(func() {
 		e.g, e.deliverP, e.err = NewOverlay(spec, base, seed)
+		if e.g != nil {
+			// Workers read the shared overlay concurrently; build its
+			// CSR now so no reader triggers the lazy rebuild.
+			e.g.Freeze()
+		}
 	})
 	return e.g, e.deliverP, e.err
 }

@@ -563,8 +563,11 @@ func sweepGroups(groups []*cellGroup, opts SweepOptions) ([]Cell, error) {
 	// does not escape into the worker closures (the plain sweep path's
 	// allocation count is pinned by BENCH_engine.json).
 	fingerprint, onFlag, saturateAfter, metricsOn := opts.Fingerprint, opts.OnFlag, opts.SaturateAfter, opts.Metrics
+	// A worker beyond one per cell would find the queue empty; not
+	// spawning it keeps a small sweep's allocations independent of the
+	// machine's width.
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < min(opts.Workers, len(groups)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -638,7 +641,7 @@ func sweepGroups(groups []*cellGroup, opts SweepOptions) ([]Cell, error) {
 // Report writes the cells to w — an indented JSON array when jsonOut,
 // an aligned text table otherwise — and returns how many cells contain
 // consensus violations. It is the shared output path of `amacsim -sweep`
-// and `benchsuite -grid`.
+// and `benchsuite`.
 func Report(w io.Writer, cells []Cell, jsonOut bool) (bad int, err error) {
 	if jsonOut {
 		err = WriteJSON(w, cells)

@@ -106,8 +106,8 @@ type PartitionResult struct {
 // RunPartition executes the Theorem 3.10 harness on a line of diameter D
 // (D >= 2) under the maximum-delay scheduler: half the line starts with 0,
 // half with 1, and a hasty algorithm deciding before floor(D/2)*Fack
-// splits. (Correct algorithms' decision times are measured against the
-// same bound by experiment E4.)
+// splits. (TestCorrectAlgorithmsRespectTheBound checks correct algorithms'
+// decision times against the same bound.)
 func RunPartition(D int, fack int64) (*PartitionResult, error) {
 	if D < 2 {
 		return nil, fmt.Errorf("lowerbound: partition harness needs D >= 2, got %d", D)

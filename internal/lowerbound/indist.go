@@ -13,7 +13,8 @@ import (
 )
 
 // This file drives the paper's two indistinguishability constructions as
-// concrete counterexample executions (experiments E2 and E3). An
+// concrete counterexample executions (TestAnonImpossibility and
+// TestSizeImpossibility). An
 // impossibility theorem cannot be "run", but its adversarial construction
 // can: we instantiate the networks, play the constructions' schedulers,
 // and watch a natural algorithm of the forbidden class violate agreement —

@@ -11,7 +11,7 @@ import (
 )
 
 func TestAnonImpossibility(t *testing.T) {
-	for _, tc := range []struct{ d, n int }{{6, 6}, {8, 40}} {
+	for _, tc := range []struct{ d, n int }{{6, 6}, {8, 40}, {10, 64}} {
 		res, err := RunAnonImpossibility(tc.d, tc.n)
 		if err != nil {
 			t.Fatalf("D=%d n=%d: %v", tc.d, tc.n, err)
@@ -32,7 +32,7 @@ func TestAnonImpossibility(t *testing.T) {
 }
 
 func TestSizeImpossibility(t *testing.T) {
-	for _, d := range []int{2, 4, 6} {
+	for _, d := range []int{2, 4, 6, 8} {
 		res, err := RunSizeImpossibility(d)
 		if err != nil {
 			t.Fatalf("D=%d: %v", d, err)
@@ -56,7 +56,7 @@ func TestPartitionHarness(t *testing.T) {
 	for _, tc := range []struct {
 		d    int
 		fack int64
-	}{{4, 1}, {8, 3}, {16, 5}} {
+	}{{4, 1}, {8, 3}, {16, 5}, {32, 4}} {
 		res, err := RunPartition(tc.d, tc.fack)
 		if err != nil {
 			t.Fatalf("D=%d: %v", tc.d, err)
@@ -79,13 +79,13 @@ func TestPartitionValidation(t *testing.T) {
 	}
 }
 
-// TestCorrectAlgorithmsRespectTheBound closes the E4 loop: wPAXOS never
-// decides before floor(D/2)*Fack under the maximum-delay scheduler (it
-// cannot, by Theorem 3.10 — this verifies the implementation is not
-// accidentally "hasty").
+// TestCorrectAlgorithmsRespectTheBound is the other half of the partition
+// harness: wPAXOS never decides before floor(D/2)*Fack under the
+// maximum-delay scheduler (it cannot, by Theorem 3.10 — this verifies the
+// implementation is not accidentally "hasty").
 func TestCorrectAlgorithmsRespectTheBound(t *testing.T) {
 	const fack = 3
-	for _, d := range []int{4, 8, 12} {
+	for _, d := range []int{4, 8, 12, 32} {
 		g := graph.Line(d + 1)
 		inputs := make([]amac.Value, d+1)
 		for i := range inputs {

@@ -12,7 +12,7 @@ import (
 // every node rebroadcasts on each ack, so the run is a steady stream of
 // plan/validate/deliver cycles and the fixed engine setup is amortized over
 // thousands of broadcasts. allocs/op is the headline number — the plan
-// buffer and event freelist are supposed to keep the steady state free of
+// buffer and event slab are supposed to keep the steady state free of
 // per-broadcast allocations.
 func BenchmarkBroadcastPlan(b *testing.B) {
 	benchBroadcast(b, graph.Clique(16), nil, nil)
@@ -48,7 +48,7 @@ func BenchmarkBroadcastPlanUnreliableMetrics(b *testing.B) {
 // Octopus-style multi-pod meshes). Setup — topology construction, engine
 // Reset, per-node algorithm allocation — happens outside the timer, so
 // the measured region is the steady-state event loop alone and allocs/op
-// must stay independent of n (the freelist and plan buffer, not the
+// must stay independent of n (the event slab and plan buffer, not the
 // allocator, feed every broadcast).
 func BenchmarkBroadcastPlanLarge(b *testing.B) {
 	cases := []struct {

@@ -11,7 +11,7 @@ import (
 // Engine executes configurations on a reusable arena: Reset re-arms the
 // same engine for a new configuration, keeping the node-state arrays, the
 // Result slices, the delivery-plan buffer, the event-queue backing array
-// and the event freelist from the previous run. A sweep worker that runs
+// and the event slab from the previous run. A sweep worker that runs
 // the seeds of one cell back to back on one Engine pays the engine's
 // allocation cost once per cell instead of once per seed.
 //
@@ -64,6 +64,9 @@ type Engine struct {
 	// checkStops, set by tests, asserts the counter against the O(n)
 	// reference scan at every stop evaluation.
 	checkStops bool
+	// queueWindow, set by tests, overrides the calendar ring's span (see
+	// eventQueue); production engines keep it zero.
+	queueWindow int64
 
 	// Hot-path metric handles, re-registered at every Reset. With
 	// Config.Metrics nil these are zero handles and every mutation is one
@@ -72,8 +75,6 @@ type Engine struct {
 	mDeliver   metrics.Counter // deliveries handed to OnReceive
 	mDrops     metrics.Counter // deliveries/acks lost to crash cutoffs
 	mDiscards  metrics.Counter // broadcasts attempted while one in flight
-	mFreeHits  metrics.Counter // event allocations served by the freelist
-	mFreeMiss  metrics.Counter // event allocations that hit the allocator
 	mQueueHigh metrics.Gauge   // event-queue depth (high-water tracked)
 }
 
@@ -112,8 +113,8 @@ func NewEngine(cfg Config) *Engine {
 // (crash flags, decisions, in-flight broadcasts), the Result, the clock,
 // the event sequence counter and the queue are all reinitialized; events
 // still queued from a run stopped early (StopWhenDecided, MaxEvents) are
-// drained to the freelist with their message references cleared. It panics
-// on configuration errors, exactly as Run does.
+// drained to the slab's free chain with their message references cleared.
+// It panics on configuration errors, exactly as Run does.
 func (e *Engine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
@@ -122,7 +123,7 @@ func (e *Engine) Reset(cfg Config) {
 	// recycle them so the slab, not the allocator, feeds the next run —
 	// then re-arm the calendar ring for the new scheduler's horizon.
 	e.q.drain()
-	e.q.init(cfg.Scheduler.Fack(), cfg.QueueWindow)
+	e.q.init(cfg.Scheduler.Fack(), e.queueWindow)
 	e.cfg = cfg
 	e.nexts = 0
 	e.now = 0
@@ -195,8 +196,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.mDeliver = m.Counter("sim_deliveries")
 	e.mDrops = m.Counter("sim_crash_drops")
 	e.mDiscards = m.Counter("sim_discards")
-	e.mFreeHits = m.Counter("sim_freelist_hits")
-	e.mFreeMiss = m.Counter("sim_freelist_misses")
 	e.mQueueHigh = m.Gauge("sim_queue_depth")
 
 	for i := 0; i < n; i++ {
@@ -262,17 +261,11 @@ func (e *Engine) crashedBy(i int, t int64) bool {
 	return at >= 0 && at < t
 }
 
-// push enqueues one event, stamping its insertion sequence. The queue's
-// slab recycles slots; a free-chain hit or a slab growth is surfaced on
-// the freelist metrics (growth amortizes to one allocation per doubling).
+// push enqueues one event, stamping its insertion sequence.
 func (e *Engine) push(ev event) {
 	ev.seq = e.nexts
 	e.nexts++
-	if e.q.push(ev) {
-		e.mFreeHits.Inc()
-	} else {
-		e.mFreeMiss.Inc()
-	}
+	e.q.push(ev)
 	e.mQueueHigh.Set(int64(e.q.len()))
 }
 

@@ -84,7 +84,7 @@ func TestEngineResetMatchesFreshRun(t *testing.T) {
 
 // TestEngineResetLeavesNoState inspects the engine internals after Reset:
 // no crash flags, decisions or in-flight broadcasts survive from the prior
-// run, the queue is empty, and every freelist event has dropped its
+// run, the queue is empty, and every slab event has dropped its
 // message reference (pooled events must not retain algorithm payloads).
 func TestEngineResetLeavesNoState(t *testing.T) {
 	crashy := freshResetConfig(t, 0)

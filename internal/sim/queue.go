@@ -44,12 +44,13 @@ import "math/bits"
 //     holds a reference into the slab across algorithm callbacks, which
 //     may push and grow it.
 //
-// Config.QueueWindow tunes the hybrid: 0 sizes the ring to the
-// scheduler's declared Fack (capped at defaultQueueWindow), a positive
-// value caps the ring lower (forcing overflow traffic — the differential
-// tests use tiny windows to stress migration), and a negative value
-// disables the ring so every event flows through the reference heap.
-// Every setting yields the same execution; only the constants move.
+// The engine's queueWindow field tunes the hybrid: 0 (the only value
+// production code uses) sizes the ring to the scheduler's declared Fack,
+// capped at defaultQueueWindow; a positive value caps the ring lower,
+// forcing overflow traffic; a negative value disables the ring so every
+// event flows through the reference heap. The differential queue test
+// sets it through export_test.go. Every setting yields the same
+// execution; only the constants move.
 type eventQueue struct {
 	// slab is the dense event store; free heads the chain of recycled
 	// slots threaded through event.next. count is the queue's size.
@@ -85,14 +86,14 @@ type bucket struct {
 // nilEvent is the slab's nil index (chain terminators, empty free list).
 const nilEvent int32 = -1
 
-// defaultQueueWindow caps the ring span when Config.QueueWindow is 0:
+// defaultQueueWindow caps the ring span when the queue window is 0:
 // 4096 buckets is 64KiB of bucket headers, enough to cover every
 // registered scheduler's horizon short of Gate with a very late Until —
 // and those far events belong in the overflow heap anyway.
 const defaultQueueWindow = 1 << 12
 
 // init re-arms the queue for a scheduler horizon of fack, honoring the
-// Config.QueueWindow override. The queue must be empty (Reset drains it
+// engine's queue-window override. The queue must be empty (Reset drains it
 // first); the slab and free chain persist untouched.
 func (q *eventQueue) init(fack, window int64) {
 	span := int64(0)
@@ -140,12 +141,11 @@ func (q *eventQueue) init(fack, window int64) {
 
 func (q *eventQueue) len() int { return q.count }
 
-// push enqueues ev, reporting whether the slot came from the free chain
-// (false means the slab grew — the engine's freelist-miss metric).
-func (q *eventQueue) push(ev event) bool {
+// push enqueues ev in a recycled slab slot, growing the slab when the free
+// chain is empty.
+func (q *eventQueue) push(ev event) {
 	idx := q.free
-	reused := idx != nilEvent
-	if reused {
+	if idx != nilEvent {
 		q.free = q.slab[idx].next
 		q.slab[idx] = ev
 	} else {
@@ -159,7 +159,6 @@ func (q *eventQueue) push(ev event) bool {
 		q.heapPush(idx)
 	}
 	q.count++
-	return reused
 }
 
 // pop removes and returns the minimum event by value, recycling its slab

@@ -1,17 +1,18 @@
-package harness
+package sim_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"github.com/absmac/absmac/internal/harness"
 	"github.com/absmac/absmac/internal/sim"
 )
 
 // The differential queue test is the pop-order oracle for all queue work:
-// the engine's calendar queue (QueueWindow 0), the pure reference heap
-// (QueueWindow -1) and a deliberately tiny two-bucket ring that forces
-// constant overflow migration (QueueWindow 2) must produce byte-identical
+// the engine's calendar queue (window 0), the pure reference heap
+// (window -1) and a deliberately tiny two-bucket ring that forces
+// constant overflow migration (window 2) must produce byte-identical
 // executions — same observable event sequence, same result, same schedule
 // fingerprint — on every registered scheduler crossed with every
 // registered crash pattern and overlay family, plus a seeded fuzz loop
@@ -33,13 +34,12 @@ type queueTrace struct {
 // state) and runs it with the given queue window, recording every
 // observer event. Message payloads are cleared before comparison: they
 // are per-run algorithm values; the delivery positions are the contract.
-func runWindowed(t *testing.T, s Scenario, window int64) queueTrace {
+func runWindowed(t *testing.T, s harness.Scenario, window int64) queueTrace {
 	t.Helper()
 	cfg, err := s.Config()
 	if err != nil {
 		t.Fatalf("%+v: %v", s, err)
 	}
-	cfg.QueueWindow = window
 	fp := sim.NewFingerprinter(cfg.Scheduler, cfg.Crashes)
 	cfg.Scheduler = fp
 	var events []sim.Event
@@ -47,13 +47,13 @@ func runWindowed(t *testing.T, s Scenario, window int64) queueTrace {
 		ev.Message = nil
 		events = append(events, ev)
 	}
-	res := sim.Run(cfg)
+	res := sim.RunWithQueueWindow(cfg, window)
 	return queueTrace{events: events, res: res, fp: fp.Sum()}
 }
 
 // assertSameExecution compares each window's trace against the reference
 // heap's.
-func assertSameExecution(t *testing.T, s Scenario) {
+func assertSameExecution(t *testing.T, s harness.Scenario) {
 	t.Helper()
 	ref := runWindowed(t, s, -1)
 	for _, w := range queueWindows {
@@ -104,22 +104,22 @@ var queueDiffOverlaySpecs = map[string]string{
 // TestQueueDifferentialRegistry drives every registered scheduler through
 // every registered crash pattern and overlay family.
 func TestQueueDifferentialRegistry(t *testing.T) {
-	topo, err := ParseTopo("grid:3x3")
+	topo, err := harness.ParseTopo("grid:3x3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range Schedulers() {
-		for _, crash := range CrashPatterns() {
+	for _, sched := range harness.Schedulers() {
+		for _, crash := range harness.CrashPatterns() {
 			spec, ok := queueDiffCrashSpecs[crash]
 			if !ok {
 				t.Fatalf("no differential spec for crash pattern %q — add one to queueDiffCrashSpecs", crash)
 			}
-			for _, overlay := range Overlays() {
+			for _, overlay := range harness.Overlays() {
 				ospec, ok := queueDiffOverlaySpecs[overlay]
 				if !ok {
 					t.Fatalf("no differential spec for overlay family %q — add one to queueDiffOverlaySpecs", overlay)
 				}
-				assertSameExecution(t, Scenario{
+				assertSameExecution(t, harness.Scenario{
 					Algo:      "twophase",
 					Topo:      topo,
 					Sched:     sched,
@@ -142,8 +142,8 @@ func TestQueueDifferentialFuzz(t *testing.T) {
 		"ring:8", "grid:3x4", "clique:6", "tree:2x3", "expander:16:4",
 		"pods:3:6:2", "star:7", "line:9", "random:12:0.3", "starlines:2x3",
 	}
-	algos := Algorithms()
-	scheds := Schedulers()
+	algos := harness.Algorithms()
+	scheds := harness.Schedulers()
 	crashes := []string{"none", "one@1", "maxid@5", "coordinator", "midbroadcast", "minorityrand"}
 	overlays := []string{"none", "chords", "extra:2", "randomextra:0.2"}
 	rng := rand.New(rand.NewSource(0xD1FF))
@@ -152,11 +152,11 @@ func TestQueueDifferentialFuzz(t *testing.T) {
 		iters = 8
 	}
 	for i := 0; i < iters; i++ {
-		topo, err := ParseTopo(topos[rng.Intn(len(topos))])
+		topo, err := harness.ParseTopo(topos[rng.Intn(len(topos))])
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := Scenario{
+		s := harness.Scenario{
 			Algo:      algos[rng.Intn(len(algos))],
 			Topo:      topo,
 			Sched:     scheds[rng.Intn(len(scheds))],

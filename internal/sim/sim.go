@@ -11,7 +11,7 @@
 // dispatches no interface methods. Engines are
 // reusable: NewEngine/Reset re-arm one engine for configuration after
 // configuration, keeping node state, Result slices, the plan buffer and
-// the event freelist, which is how sweep workers amortize per-run setup
+// the event slab, which is how sweep workers amortize per-run setup
 // across the seeds of a cell.
 // The engine validates every plan against the
 // model contract — deliveries strictly after the broadcast, the ack no
@@ -138,17 +138,8 @@ type Config struct {
 	// observer that retains events must extract what it needs rather than
 	// hold the Message reference (trace.Recorder formats only the type).
 	Observer func(Event)
-	// QueueWindow tunes the engine's calendar event queue (see queue.go):
-	// 0 sizes the bucket ring to the scheduler's declared Fack (capped at
-	// a default), a positive value caps the ring's time span lower — more
-	// events take the overflow heap — and a negative value disables the
-	// ring entirely, so every event flows through the reference quaternary
-	// heap. Every setting produces byte-identical executions (pinned by
-	// the harness differential queue test); this is a performance and
-	// test knob, never a semantic one.
-	QueueWindow int64
 	// Metrics, when non-nil, receives the engine's hot-path counters
-	// (events processed, deliveries, crash drops, freelist hit rate,
+	// (events processed, deliveries, crash drops, discards,
 	// queue-depth high-water) and is handed to every node's factory via
 	// amac.NodeConfig so algorithms register their own slots against the
 	// same registry. Reset zeroes the registry's values (registrations

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical and formatting helpers the
-// experiment drivers use: summary statistics over samples, least-squares
-// fits for shape checks (is decision time linear in D?), and a plain-text
-// table renderer for EXPERIMENTS.md-style output.
+// sweep reports and the paper-claim tests use: summary statistics over
+// samples, a least-squares fit for shape checks (is decision time flat in
+// n?), and a plain-text table renderer.
 package stats
 
 import (
@@ -21,21 +21,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer than
-// two samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)))
 }
 
 // Median returns the median, or 0 for an empty sample.
