@@ -80,29 +80,34 @@
 //
 // Both multihop algorithms (internal/core/wpaxos and its flooding
 // baseline internal/baseline/floodpaxos) survive the death of their
-// elected proposer. Two mechanisms, shared via wpaxos.Detector:
+// elected proposer. They run one PAXOS core, the exported types of
+// internal/core/wpaxos: Acceptor, Proposer (numbering, the two-numbers
+// budget and its Ω gate on retry), ChangeService, PropQueue, ChosenWatch
+// and Detector. Only the response path is per variant. Two mechanisms
+// carry liveness:
 //
 //   - Retransmit until superseded. Every queue a node pumps — leader
-//     announcements, change notices, the highest-numbered proposition,
-//     acceptor responses, gossiped acceptor state — stays sticky: it is
-//     re-broadcast on every pump until a strictly newer item supersedes
-//     it, rather than sent once and forgotten. Receivers deduplicate, so
-//     retransmission is idempotent; a message lost to a crash or an
-//     unreliable overlay edge is simply sent again. wPAXOS's aggregated
-//     fast-path response counts remain send-once (re-aggregating would
-//     double-count); robustness there comes from per-origin monotone
-//     acceptor-state gossip, merged idempotently, with a chosen-value
-//     watch that lets any node observe a majority and decide even if
+//     announcements, change notices (ChangeService), the
+//     highest-numbered proposition (PropQueue), acceptor responses,
+//     gossiped acceptor state — stays sticky: it is re-broadcast on every
+//     pump until a strictly newer item supersedes it, rather than sent
+//     once and forgotten. Receivers deduplicate, so retransmission is
+//     idempotent; a message lost to a crash or an unreliable overlay edge
+//     is simply sent again. wPAXOS's aggregated fast-path response counts
+//     remain send-once (re-aggregating would double-count); robustness
+//     there comes from per-origin monotone acceptor-state gossip, merged
+//     idempotently. In both variants the chosen-value watch
+//     (ChosenWatch) lets any node observe a majority and decide even if
 //     the proposer who assembled it is dead.
-//   - Suspicion-based Ω with deterministic rotation. Each node estimates
-//     Fack from observed broadcast-to-ack delays (fhat) and suspects the
-//     current omega after fhat·(4n+8)·mult ticks of silence, doubling
-//     mult on each firing so false suspicions under slow schedules die
-//     out. Membership is learned from gossip and kept sorted; on
-//     suspicion the detector demotes omega to the next-highest
-//     unsuspected id, and when every member is suspected it clears all
-//     suspicions and re-promotes the maximum — so a false cascade
-//     self-heals. Detector.Gossip alternates between flooding the
+//   - Suspicion-based Ω with deterministic rotation (Detector). Each
+//     node estimates Fack from observed broadcast-to-ack delays (fhat)
+//     and suspects the current omega after fhat·(4n+8)·mult ticks of
+//     silence, doubling mult on each firing so false suspicions under
+//     slow schedules die out. Membership is learned from gossip and kept
+//     sorted; on suspicion the detector demotes omega to the
+//     next-highest unsuspected id, and when every member is suspected it
+//     clears all suspicions and re-promotes the maximum — so a false
+//     cascade self-heals. Detector.Gossip alternates between flooding the
 //     current omega (the paper's O(D·Fack) leader-election flood) and
 //     round-robin membership dissemination, keeping election fast while
 //     every node converges on the same sorted member list, which makes

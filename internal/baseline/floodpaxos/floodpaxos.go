@@ -10,16 +10,19 @@
 // O(D*Fack) aggregation. TestSlowerThanWPaxosOnBottleneck measures the
 // contrast.
 //
-// Like wPAXOS it assumes unique ids and knowledge of n. Leader election is
-// the shared suspicion-based Ω detector (internal/core/wpaxos/detector.go):
-// membership is gossiped one id per broadcast, the maximum unsuspected
-// member is the leader, and silence demotes it so the proposership rotates
-// off corpses. Outbound queues are retransmit-until-superseded: the newest
-// change, the highest-numbered proposition, and every pending response
-// stay queued and are re-broadcast (responses round-robin) until newer
-// state supersedes them, so a message lost to a lossy overlay edge is
-// re-offered forever rather than gone. Receivers deduplicate, keeping the
-// retransmissions idempotent. Any node that observes a majority of
+// Only that response path is this package's own. Everything else is the
+// PAXOS core wPAXOS runs too, from internal/core/wpaxos: the Ω detector
+// (wpaxos.Detector), the acceptor (wpaxos.Acceptor), proposer numbering
+// and its two-numbers budget (wpaxos.Proposer), the change notification
+// (wpaxos.ChangeService), the sticky proposition slot (wpaxos.PropQueue),
+// the chosen-value watch (wpaxos.ChosenWatch), and the leader, change,
+// proposer and decide messages. Like wPAXOS it assumes unique ids and
+// knowledge of n. Outbound queues are retransmit-until-superseded: the
+// newest change, the highest-numbered proposition, and every pending
+// response stay queued and are re-broadcast (responses round-robin) until
+// newer state supersedes them, so a message lost to a lossy overlay edge
+// is re-offered forever rather than gone. Receivers deduplicate, keeping
+// the retransmissions idempotent. Any node that observes a majority of
 // acceptors accepting the same proposal decides — termination does not
 // require the proposer to survive its own round.
 package floodpaxos
@@ -32,30 +35,6 @@ import (
 	"github.com/absmac/absmac/internal/metrics"
 )
 
-// LeaderMsg gossips one known member id (the detector's membership
-// rotation; the maximum unsuspected member is the leader).
-type LeaderMsg struct {
-	ID amac.NodeID
-}
-
-// ChangeMsg is the change notification.
-type ChangeMsg struct {
-	T  int64
-	ID amac.NodeID
-}
-
-// ProposerMsg floods a prepare or propose.
-type ProposerMsg struct {
-	Kind wpaxos.PropKind
-	Num  wpaxos.ProposalNum
-	Val  amac.Value
-}
-
-// Proposition returns the proposition this message belongs to.
-func (m ProposerMsg) Proposition() wpaxos.Proposition {
-	return wpaxos.Proposition{Kind: m.Kind, Num: m.Num}
-}
-
 // ResponseMsg is one acceptor's (un-aggregated) response, flooded through
 // the whole network until it reaches the proposer.
 type ResponseMsg struct {
@@ -66,33 +45,28 @@ type ResponseMsg struct {
 	Committed wpaxos.ProposalNum
 }
 
-// DecideMsg floods the decision.
-type DecideMsg struct {
-	Val amac.Value
-}
-
 // Combined multiplexes one message per queue into a single broadcast. The
 // sender fills the unexported inline slots and points the exported fields
 // at them, so assembling a broadcast allocates nothing beyond the Combined
 // itself — and nothing at all once a pooling node (see NewFactory) has
 // recycled its first message.
 type Combined struct {
-	Leader   *LeaderMsg
-	Change   *ChangeMsg
-	Proposer *ProposerMsg
+	Leader   *wpaxos.LeaderMsg
+	Change   *wpaxos.ChangeMsg
+	Proposer *wpaxos.ProposerMsg
 	Response *ResponseMsg
-	Decide   *DecideMsg
+	Decide   *wpaxos.DecideMsg
 
 	// buf backs the pointer fields above when the message is assembled by
 	// pump. Receivers must treat a delivered Combined as immutable and
 	// copy what they keep (they do), because pooling senders reuse the
 	// whole object — buf included — after the ack.
 	buf struct {
-		leader   LeaderMsg
-		change   ChangeMsg
-		proposer ProposerMsg
+		leader   wpaxos.LeaderMsg
+		change   wpaxos.ChangeMsg
+		proposer wpaxos.ProposerMsg
 		response ResponseMsg
-		decide   DecideMsg
+		decide   wpaxos.DecideMsg
 	}
 }
 
@@ -126,25 +100,23 @@ type respKey struct {
 	acceptor amac.NodeID
 }
 
-// Node is the per-node state machine. The outbound queues (changeQ, propQ,
-// decideQ) are value slots with presence flags; respQ is a sticky cycle —
-// entries leave only when a newer proposition from the same proposer
-// supersedes them — so queue traffic allocates only when respQ has to
-// grow.
+// Node is the per-node state machine. The outbound queues (change,
+// propQ, decideQ) are value slots; respQ is a sticky cycle — entries
+// leave only when a newer proposition from the same proposer supersedes
+// them — so queue traffic allocates only when respQ has to grow.
 type Node struct {
 	api   amac.API
 	id    amac.NodeID
 	n     int
 	input amac.Value
 
-	det *wpaxos.Detector
+	det    *wpaxos.Detector
+	change wpaxos.ChangeService
+	prop   wpaxos.Proposer
+	acc    wpaxos.Acceptor
+	propQ  wpaxos.PropQueue
+	chosen wpaxos.ChosenWatch
 
-	lastChange int64
-	hasChangeQ bool
-	changeQ    ChangeMsg
-
-	hasPropQ  bool
-	propQ     ProposerMsg
 	seenProps map[wpaxos.Proposition]bool
 	// maxNumBy is the largest proposal number seen per proposer; pending
 	// responses are pruned per proposer, so one proposer's newer round
@@ -155,51 +127,35 @@ type Node struct {
 	respCur  int
 	seenResp map[respKey]bool
 
-	// propVals remembers the value of every propose seen, and chosenBy
-	// the acceptors seen accepting each number: a majority means the
-	// value is chosen and any observer decides, proposer dead or alive.
-	propVals map[wpaxos.ProposalNum]amac.Value
-	chosenBy map[wpaxos.ProposalNum]map[amac.NodeID]bool
-
-	promised wpaxos.ProposalNum
-	accepted *wpaxos.Proposal
-
-	phase      int // 0 idle, 1 preparing, 2 proposing
-	num        wpaxos.ProposalNum
-	maxTagSeen int64
-	triesLeft  int
-	acks       map[amac.NodeID]bool
-	nacks      map[amac.NodeID]bool
-	bestPrev   *wpaxos.Proposal
-	value      amac.Value
+	// acks/nacks are the distinct acceptors answering the current
+	// proposition positively/negatively.
+	acks  map[amac.NodeID]bool
+	nacks map[amac.NodeID]bool
 
 	hasDecideQ bool
-	decideQ    DecideMsg
+	decideQ    wpaxos.DecideMsg
 	inflight   bool
 	decided    bool
 	decision   amac.Value
 
-	// reuse recycles broadcast buffers through msgFree after each ack
-	// (see NewFactory for the substrate guarantee this relies on). A node
-	// has at most one broadcast in flight, so the pool holds at most one
-	// message.
-	reuse   bool
-	msgFree []*Combined
+	// reuse recycles the broadcast buffer into spare after each ack (see
+	// NewFactory for the substrate guarantee this relies on). A node has
+	// at most one broadcast in flight, so one spare suffices.
+	reuse bool
+	spare *Combined
 
 	// mreg is the substrate's metrics registry (nil when metrics are off);
-	// the handles below are zero (disabled) then. propSent distinguishes a
-	// sticky proposition's retransmissions from its first send.
+	// the handles below are zero (disabled) then.
 	mreg         *metrics.Registry
 	mProposals   metrics.Counter
 	mRetries     metrics.Counter
 	mNacks       metrics.Counter
 	mRetransmits metrics.Counter
-	propSent     bool
 }
 
 // New returns a flood-paxos node knowing the network size n. Nodes built
 // this way allocate a fresh message per broadcast and are safe on any
-// substrate; NewFactory enables buffer reuse for simulator runs.
+// substrate; NewFactory enables buffer reuse.
 func New(input amac.Value, n int) *Node {
 	if n < 1 {
 		panic(fmt.Sprintf("floodpaxos: invalid network size %d", n))
@@ -208,8 +164,9 @@ func New(input amac.Value, n int) *Node {
 		panic(fmt.Sprintf("floodpaxos: input %d is not binary", input))
 	}
 	return &Node{
-		n:     n,
-		input: input,
+		n:      n,
+		input:  input,
+		chosen: wpaxos.NewChosenWatch(n),
 		// Sized for the common census: a couple of propositions, each
 		// drawing one response per acceptor, deduped network-wide. Sizing
 		// up front trades one allocation for the incremental bucket
@@ -218,20 +175,18 @@ func New(input amac.Value, n int) *Node {
 		seenResp:  make(map[respKey]bool, 4*n),
 		respQ:     make([]ResponseMsg, 0, 2*n),
 		maxNumBy:  make(map[amac.NodeID]wpaxos.ProposalNum, 4),
-		propVals:  make(map[wpaxos.ProposalNum]amac.Value, 4),
-		chosenBy:  make(map[wpaxos.ProposalNum]map[amac.NodeID]bool, 4),
 	}
 }
 
 // NewFactory returns a factory for networks of the given size. Nodes it
 // builds recycle their broadcast buffer after each ack, which makes the
-// steady-state broadcast path allocation-free. Reuse relies on the
-// delivery-before-ack guarantee of serialized substrates — by the time the
-// sender's OnAck runs, every OnReceive handler for that broadcast has
-// returned (internal/sim's engine orders co-timed deliveries before acks
-// and runs handlers serially). On wall-clock substrates (internal/live,
-// internal/netmac), where a receiver may still be processing the message
-// when the ack lands, build nodes with New instead.
+// steady-state broadcast path allocation-free. Reuse relies on every
+// receiver being done with a message by the time its sender's OnAck runs.
+// The simulator (internal/sim) guarantees that: it orders co-timed
+// deliveries before acks and runs handlers serially. netmac does too,
+// because it encodes the message when Broadcast is called. The goroutine
+// runtime (internal/live) does not — a receiver may still be reading the
+// message when the ack lands — so build its nodes with New instead.
 func NewFactory(n int) amac.Factory {
 	return func(cfg amac.NodeConfig) amac.Algorithm {
 		a := New(cfg.Input, n)
@@ -252,14 +207,14 @@ func (a *Node) instrument(r *metrics.Registry) {
 	a.mRetransmits = r.Counter("flood_retransmits")
 }
 
-// getMsg takes a broadcast buffer from the pool, or allocates one.
-func (a *Node) getMsg() *Combined {
-	if k := len(a.msgFree); k > 0 {
-		c := a.msgFree[k-1]
-		a.msgFree = a.msgFree[:k-1]
-		return c
+// newMsg takes the spare broadcast buffer, or allocates one.
+func (a *Node) newMsg() *Combined {
+	c := a.spare
+	if c == nil {
+		return &Combined{}
 	}
-	return &Combined{}
+	a.spare = nil
+	return c
 }
 
 // Start implements amac.Algorithm.
@@ -268,7 +223,6 @@ func (a *Node) Start(api amac.API) {
 	a.id = api.ID()
 	a.det = wpaxos.NewDetector(a.id, a.n)
 	a.det.Instrument(a.mreg)
-	a.lastChange = -1
 	if a.n == 1 {
 		a.decide(a.input)
 		return
@@ -292,10 +246,7 @@ func (a *Node) OnReceive(m amac.Message) {
 			}
 		}
 	}
-	if c.Change != nil && c.Change.T > a.lastChange {
-		a.lastChange = c.Change.T
-		a.hasChangeQ = true
-		a.changeQ = ChangeMsg{T: c.Change.T, ID: c.Change.ID}
+	if c.Change != nil && a.change.Receive(*c.Change) {
 		a.det.Novel(a.api.Now())
 		if a.det.Omega() == a.id {
 			a.generateProposal()
@@ -308,9 +259,7 @@ func (a *Node) OnReceive(m amac.Message) {
 		a.onResponse(*c.Response)
 	}
 	if c.Decide != nil && !a.decided {
-		a.decide(c.Decide.Val)
-		a.hasDecideQ = true
-		a.decideQ = DecideMsg{Val: c.Decide.Val}
+		a.decideAndFlood(c.Decide.Val)
 	}
 	a.pump()
 }
@@ -318,9 +267,7 @@ func (a *Node) OnReceive(m amac.Message) {
 // localChange floods a change notification and restarts the proposer when
 // this node believes it is the leader.
 func (a *Node) localChange() {
-	a.lastChange = a.api.Now()
-	a.hasChangeQ = true
-	a.changeQ = ChangeMsg{T: a.lastChange, ID: a.id}
+	a.change.OnChange(a.api.Now(), a.id)
 	if a.det.Omega() == a.id {
 		a.generateProposal()
 	}
@@ -332,11 +279,11 @@ func (a *Node) localChange() {
 func (a *Node) OnAck(m amac.Message) {
 	a.inflight = false
 	if a.reuse {
-		// Every delivery handler for this broadcast has returned (the
-		// NewFactory contract), so the buffer can be recycled.
+		// Every receiver is done with this broadcast (the NewFactory
+		// contract), so the buffer can be recycled.
 		c := m.(*Combined)
 		*c = Combined{}
-		a.msgFree = append(a.msgFree, c)
+		a.spare = c
 	}
 	now := a.api.Now()
 	a.det.NoteAck(now)
@@ -356,42 +303,30 @@ func (a *Node) pump() {
 		return
 	}
 	var c *Combined
-	// ensure allocates the outgoing message only once something queued.
-	ensure := func() {
-		if c == nil {
-			c = a.getMsg()
-		}
-	}
 	if a.hasDecideQ {
-		ensure()
+		c = a.newMsg()
 		c.buf.decide = a.decideQ
 		c.Decide = &c.buf.decide
 		a.hasDecideQ = false
 	}
 	if !a.decided {
+		if c == nil {
+			c = a.newMsg()
+		}
 		// Membership gossip: one known id per pump, cycling. This slot
 		// is always non-empty, so an undecided node is never silent —
 		// the detector's liveness tick.
-		ensure()
-		c.buf.leader = LeaderMsg{ID: a.det.Gossip()}
+		c.buf.leader = wpaxos.LeaderMsg{ID: a.det.Gossip()}
 		c.Leader = &c.buf.leader
-		if a.hasChangeQ {
-			// Sticky: the newest change is re-broadcast until a newer
-			// one supersedes it (receivers dedup by timestamp).
-			ensure()
-			c.buf.change = a.changeQ
+		if m, ok := a.change.Current(); ok {
+			c.buf.change = m
 			c.Change = &c.buf.change
 		}
-		if a.hasPropQ {
-			// Sticky: the highest-numbered proposition is re-broadcast
-			// until superseded (receivers dedup on first sight).
-			ensure()
-			c.buf.proposer = a.propQ
+		if m, ok, again := a.propQ.Next(); ok {
+			c.buf.proposer = m
 			c.Proposer = &c.buf.proposer
-			if a.propSent {
+			if again {
 				a.mRetransmits.Inc()
-			} else {
-				a.propSent = true
 			}
 		}
 		if len(a.respQ) > 0 {
@@ -400,7 +335,6 @@ func (a *Node) pump() {
 			if a.respCur >= len(a.respQ) {
 				a.respCur = 0
 			}
-			ensure()
 			c.buf.response = a.respQ[a.respCur]
 			c.Response = &c.buf.response
 			a.respCur++
@@ -414,10 +348,8 @@ func (a *Node) pump() {
 	a.api.Broadcast(c)
 }
 
-func (a *Node) onProposer(m ProposerMsg) {
-	if a.maxTagSeen < m.Num.Tag {
-		a.maxTagSeen = m.Num.Tag
-	}
+func (a *Node) onProposer(m wpaxos.ProposerMsg) {
+	a.prop.SeeTag(m.Num.Tag)
 	key := m.Proposition()
 	if a.seenProps[key] {
 		return
@@ -428,17 +360,27 @@ func (a *Node) onProposer(m ProposerMsg) {
 	// it: with a rotating Ω, nodes may disagree about the leader, and
 	// PAXOS safety is proposer-independent.
 	a.noteProposerNum(m.Num)
-	if m.Kind == wpaxos.Propose {
-		a.propVals[m.Num] = m.Val
-		a.maybeDecideChosen(m.Num)
-	}
-	if !a.hasPropQ || a.propQ.Num.Less(m.Num) ||
-		(a.propQ.Num == m.Num && a.propQ.Kind == wpaxos.Prepare && m.Kind == wpaxos.Propose) {
-		a.hasPropQ = true
-		a.propQ = m
-		a.propSent = false
-	}
+	a.learnValue(m)
+	a.propQ.Offer(m)
 	a.respond(m)
+}
+
+// originate floods one of this node's own proposer messages and runs the
+// local acceptor against it. Unlike a relayed proposition, it takes the
+// proposition slot whatever is queued there.
+func (a *Node) originate(m wpaxos.ProposerMsg) {
+	a.seenProps[m.Proposition()] = true
+	a.noteProposerNum(m.Num)
+	a.learnValue(m)
+	a.propQ.Replace(m)
+	a.respond(m)
+}
+
+// learnValue feeds a propose's value to the chosen-value watch.
+func (a *Node) learnValue(m wpaxos.ProposerMsg) {
+	if m.Kind == wpaxos.Propose {
+		a.decideChosen(a.chosen.Learn(m.Num, m.Val))
+	}
 }
 
 // noteProposerNum updates the largest proposal number seen from num's
@@ -462,26 +404,9 @@ func (a *Node) noteProposerNum(num wpaxos.ProposalNum) {
 }
 
 // respond runs the acceptor and emits one individual response.
-func (a *Node) respond(m ProposerMsg) {
+func (a *Node) respond(m wpaxos.ProposerMsg) {
 	r := ResponseMsg{Prop: m.Proposition(), Acceptor: a.id}
-	switch m.Kind {
-	case wpaxos.Prepare:
-		if a.promised.Less(m.Num) {
-			a.promised = m.Num
-			r.Positive = true
-			r.Prev = a.accepted
-		} else {
-			r.Committed = a.promised
-		}
-	case wpaxos.Propose:
-		if !m.Num.Less(a.promised) {
-			a.promised = m.Num
-			a.accepted = &wpaxos.Proposal{Num: m.Num, Val: m.Val}
-			r.Positive = true
-		} else {
-			r.Committed = a.promised
-		}
-	}
+	r.Positive, r.Prev, r.Committed = a.acc.Respond(m)
 	// Mark our own response seen so the flood echoing it back is not
 	// re-queued as a duplicate.
 	a.seenResp[respKey{prop: r.Prop, acceptor: r.Acceptor}] = true
@@ -492,7 +417,7 @@ func (a *Node) respond(m ProposerMsg) {
 // this node is the proposer) and feeds the chosen-value watch.
 func (a *Node) routeResponse(r ResponseMsg) {
 	if r.Positive && r.Prop.Kind == wpaxos.Propose {
-		a.tallyChosen(r.Prop.Num, r.Acceptor)
+		a.decideChosen(a.chosen.Accept(r.Prop.Num, r.Acceptor))
 	}
 	if r.Prop.Num.ID == a.id {
 		a.consume(r)
@@ -505,9 +430,7 @@ func (a *Node) routeResponse(r ResponseMsg) {
 }
 
 func (a *Node) onResponse(r ResponseMsg) {
-	if a.maxTagSeen < r.Committed.Tag {
-		a.maxTagSeen = r.Committed.Tag
-	}
+	a.prop.SeeTag(r.Committed.Tag)
 	key := respKey{prop: r.Prop, acceptor: r.Acceptor}
 	if a.seenResp[key] {
 		return
@@ -518,35 +441,12 @@ func (a *Node) onResponse(r ResponseMsg) {
 	a.routeResponse(r)
 }
 
-// tallyChosen records that acceptor accepted num; a majority of acceptors
-// accepting the same number means its value is chosen, and any observer
-// decides it (the responses keep flooding stickily even if the proposer
-// died mid-round).
-func (a *Node) tallyChosen(num wpaxos.ProposalNum, acceptor amac.NodeID) {
-	set := a.chosenBy[num]
-	if set == nil {
-		set = make(map[amac.NodeID]bool, a.n)
-		a.chosenBy[num] = set
-	}
-	if set[acceptor] {
-		return
-	}
-	set[acceptor] = true
-	a.maybeDecideChosen(num)
-}
-
-func (a *Node) maybeDecideChosen(num wpaxos.ProposalNum) {
-	if a.decided {
-		return
-	}
-	v, ok := a.propVals[num]
-	if !ok {
-		return // value not yet known; re-checked when the propose arrives
-	}
-	if 2*len(a.chosenBy[num]) > a.n {
-		a.decide(v)
-		a.hasDecideQ = true
-		a.decideQ = DecideMsg{Val: v}
+// decideChosen decides v when the chosen-value watch reports it chosen
+// (the responses keep flooding stickily even if the proposer died
+// mid-round).
+func (a *Node) decideChosen(v amac.Value, chosen bool) {
+	if chosen && !a.decided {
+		a.decideAndFlood(v)
 	}
 }
 
@@ -554,8 +454,15 @@ func (a *Node) generateProposal() {
 	if a.decided {
 		return
 	}
-	a.triesLeft = 2
-	a.startProposal()
+	a.prepare(a.prop.Generate(a.id))
+}
+
+// prepare re-arms the tallies for a fresh number and originates its
+// prepare.
+func (a *Node) prepare(m wpaxos.ProposerMsg) {
+	a.mProposals.Inc()
+	a.resetTallies()
+	a.originate(m)
 }
 
 // resetTallies re-arms the ack/nack tallies for a new phase, reusing the
@@ -570,93 +477,56 @@ func (a *Node) resetTallies() {
 	clear(a.nacks)
 }
 
-func (a *Node) startProposal() {
-	a.mProposals.Inc()
-	a.triesLeft--
-	a.maxTagSeen++
-	a.num = wpaxos.ProposalNum{Tag: a.maxTagSeen, ID: a.id}
-	a.phase = 1
-	a.resetTallies()
-	a.bestPrev = nil
-	m := ProposerMsg{Kind: wpaxos.Prepare, Num: a.num}
-	a.seenProps[m.Proposition()] = true
-	a.noteProposerNum(a.num)
-	a.hasPropQ = true
-	a.propQ = m
-	a.propSent = false
-	a.respond(m)
-}
-
 // consume is the proposer counting individual responses.
 func (a *Node) consume(r ResponseMsg) {
-	if a.decided || r.Prop.Num != a.num {
+	if a.decided || !a.prop.Awaits(r.Prop) {
 		return
 	}
-	wantKind := wpaxos.Prepare
-	if a.phase == 2 {
-		wantKind = wpaxos.Propose
-	}
-	if a.phase == 0 || r.Prop.Kind != wantKind {
-		return
-	}
-	if r.Positive {
-		a.acks[r.Acceptor] = true
-		if a.phase == 1 {
-			if r.Prev != nil && (a.bestPrev == nil || a.bestPrev.Num.Less(r.Prev.Num)) {
-				a.bestPrev = r.Prev
-			}
-			if 2*len(a.acks) > a.n {
-				a.beginPropose()
-			}
-		} else if 2*len(a.acks) > a.n {
-			a.decide(a.value)
-			a.hasDecideQ = true
-			a.decideQ = DecideMsg{Val: a.value}
+	if !r.Positive {
+		a.mNacks.Inc()
+		a.nacks[r.Acceptor] = true
+		if 2*len(a.nacks) > a.n {
+			a.retry()
 		}
 		return
 	}
-	a.mNacks.Inc()
-	a.nacks[r.Acceptor] = true
-	if 2*len(a.nacks) > a.n {
-		a.retry()
+	a.acks[r.Acceptor] = true
+	if r.Prop.Kind == wpaxos.Prepare {
+		a.prop.NotePrev(r.Prev)
+		if 2*len(a.acks) > a.n {
+			a.beginPropose()
+		}
+	} else if 2*len(a.acks) > a.n {
+		a.decideAndFlood(a.prop.Value())
 	}
 }
 
 func (a *Node) beginPropose() {
-	a.phase = 2
+	m := a.prop.BeginPropose(a.input)
 	a.resetTallies()
-	if a.bestPrev != nil {
-		a.value = a.bestPrev.Val
-	} else {
-		a.value = a.input
-	}
-	m := ProposerMsg{Kind: wpaxos.Propose, Num: a.num, Val: a.value}
-	a.seenProps[m.Proposition()] = true
-	a.propVals[a.num] = a.value
-	a.hasPropQ = true
-	a.propQ = m
-	a.propSent = false
-	a.respond(m)
+	a.originate(m)
 }
 
-// retry abandons the current number after a majority rejected it. A node
-// that exhausts its two-numbers budget goes idle; the failure detector's
-// re-arm (or the next change event) hands out a fresh budget, so no
-// proposer is gated forever while it believes itself leader.
+// retry abandons the current number after a majority rejected it (see
+// wpaxos.Proposer.Retry).
 func (a *Node) retry() {
 	a.mRetries.Inc()
-	if a.det.Omega() != a.id || a.triesLeft <= 0 {
-		a.phase = 0
-		a.num = wpaxos.ProposalNum{}
-		return
+	if m, ok := a.prop.Retry(a.id, a.det.Omega()); ok {
+		a.prepare(m)
 	}
-	a.startProposal()
 }
 
 func (a *Node) decide(v amac.Value) {
 	a.decided = true
 	a.decision = v
 	a.api.Decide(v)
+}
+
+// decideAndFlood decides v and queues the decide flood.
+func (a *Node) decideAndFlood(v amac.Value) {
+	a.decide(v)
+	a.hasDecideQ = true
+	a.decideQ = wpaxos.DecideMsg{Val: v}
 }
 
 // Decided implements amac.Decider.

@@ -107,7 +107,11 @@ type DecideMsg struct {
 
 // Combined is the broadcast service's multiplexed message (Algorithm 5):
 // one message from each non-empty queue, sent as a single bounded-size
-// broadcast. Nil fields mean the corresponding queue was empty.
+// broadcast. Nil fields mean the corresponding queue was empty. The sender
+// fills the unexported inline slots and points the exported fields at
+// them, so assembling a broadcast allocates nothing beyond the Combined
+// itself — and nothing at all once a pooling node (see NewFactory) has
+// recycled its first message.
 type Combined struct {
 	Leader   *LeaderMsg
 	Change   *ChangeMsg
@@ -116,12 +120,26 @@ type Combined struct {
 	Response *ResponseMsg
 	State    *StateMsg
 	Decide   *DecideMsg
+
+	// buf backs the pointer fields above when the message is assembled by
+	// pump. Receivers must treat a delivered Combined as immutable and
+	// copy what they keep (they do), because pooling senders reuse the
+	// whole object — buf included — after the ack.
+	buf struct {
+		leader   LeaderMsg
+		change   ChangeMsg
+		search   SearchMsg
+		proposer ProposerMsg
+		response ResponseMsg
+		state    StateMsg
+		decide   DecideMsg
+	}
 }
 
 // IDCount implements amac.Message. Each constituent carries a constant
 // number of ids, so the combined message does too (the model's O(1)-ids
 // restriction, audited by the simulator).
-func (m Combined) IDCount() int {
+func (m *Combined) IDCount() int {
 	c := 0
 	if m.Leader != nil {
 		c++
@@ -156,4 +174,4 @@ func (m Combined) IDCount() int {
 	return c
 }
 
-var _ amac.Message = Combined{}
+var _ amac.Message = (*Combined)(nil)

@@ -19,28 +19,30 @@ type Config struct {
 
 // NewFactory returns an amac.Factory producing wPAXOS nodes that share the
 // given configuration. Nodes built through a factory recycle their
-// per-pump send buffers (response, state, leader, search) across
-// broadcasts, which relies on the delivery-before-ack guarantee of
-// serialized substrates (internal/sim); on wall-clock substrates build
-// nodes with New/NewGeneral instead.
-func NewFactory(cfg Config) amac.Factory {
+// broadcast buffer after each ack, which makes the steady-state broadcast
+// path allocation-free. Reuse relies on every receiver being done with a
+// message by the time its sender's OnAck runs. The simulator
+// (internal/sim) guarantees that: it orders co-timed deliveries before
+// acks and runs handlers serially. netmac does too, because it encodes
+// the message when Broadcast is called. The goroutine runtime
+// (internal/live) does not — a receiver may still be reading the message
+// when the ack lands — so build its nodes with New/NewGeneral instead.
+func NewFactory(cfg Config) amac.Factory { return factory(cfg, New) }
+
+// NewGeneralFactory returns a factory of NewGeneral nodes (with send-buffer
+// reuse; see NewFactory for the substrate caveat).
+func NewGeneralFactory(cfg Config) amac.Factory { return factory(cfg, NewGeneral) }
+
+func factory(cfg Config, build func(amac.Value, Config) *Node) amac.Factory {
 	if cfg.N < 1 {
 		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
 	}
 	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := New(nc.Input, cfg)
+		a := build(nc.Input, cfg)
 		a.reuse = true
 		a.instrument(nc.Metrics)
 		return a
 	}
-}
-
-// chosenTally tracks, per proposal number, the set of origins ever seen
-// with that proposal accepted. A majority means the value is chosen —
-// any node may then decide, whether or not the proposer survived.
-type chosenTally struct {
-	val amac.Value
-	by  map[amac.NodeID]bool
 }
 
 // Node is one wPAXOS participant: the support services, the suspicion-based
@@ -54,16 +56,11 @@ type Node struct {
 	audit *CountAudit
 
 	det    *Detector
-	change changeService
+	change ChangeService
 	tree   treeService
-	prop   proposerState
-	acc    acceptorState
-
-	// propQ is the proposer flood queue: the highest-numbered proposition
-	// seen anywhere (a propose supersedes the prepare of the same
-	// number). It is sticky — re-broadcast on every pump until superseded
-	// — so a proposition survives lossy overlay edges.
-	propQ *ProposerMsg
+	prop   Proposer
+	acc    Acceptor
+	propQ  PropQueue
 	// seenProps dedups the proposer flood ("rebroadcast on first sight")
 	// and doubles as the acceptor's responded-once guard.
 	seenProps map[Proposition]bool
@@ -85,45 +82,35 @@ type Node struct {
 	stateTbl   map[amac.NodeID]StateMsg
 	stateOrder []amac.NodeID
 	stateCur   int
-	// chosen is the chosen-value watch: per proposal number, the origins
-	// ever seen with it accepted. A majority decides regardless of who
-	// proposed (safety does not depend on the proposer surviving).
-	chosen map[ProposalNum]*chosenTally
-	// gossAcks/gossNacks count distinct origins supporting/refusing the
-	// current proposition via gossiped state. They are tallied separately
-	// from the fast path's aggregated counts — each tally is individually
-	// sound, and they are never summed.
-	gossAcks  map[amac.NodeID]bool
-	gossNacks map[amac.NodeID]bool
+	// chosen is the chosen-value watch, fed by gossiped acceptor state.
+	chosen ChosenWatch
+	// acks/nacks count aggregated fast-path responses to the current
+	// proposition; gossAcks/gossNacks count distinct origins
+	// supporting/refusing it via gossiped state. The two are tallied
+	// separately — each tally is individually sound, and they are never
+	// summed.
+	acks, nacks int64
+	gossAcks    map[amac.NodeID]bool
+	gossNacks   map[amac.NodeID]bool
 
-	decideQ  *DecideMsg
-	inflight bool
-	decided  bool
-	decision amac.Value
-
-	// maxTagUsed tracks the largest tag this node proposed with
-	// (Lemma 4.4; TestTagGrowthModest bounds it).
-	maxTagUsed int64
+	// decideQ is the decide flood slot, pending while hasDecideQ.
+	hasDecideQ bool
+	decideQ    DecideMsg
+	inflight   bool
+	decided    bool
+	decision   amac.Value
 
 	// mreg is the metrics registry handed down by the substrate (nil when
 	// metrics are off); met holds the node's counter handles (zero =
-	// disabled). propSent marks the sticky proposer queue entry as having
-	// been broadcast at least once, so retransmissions can be told apart
-	// from first sends.
-	mreg     *metrics.Registry
-	met      nodeMetrics
-	propSent bool
+	// disabled).
+	mreg *metrics.Registry
+	met  nodeMetrics
 
-	// reuse recycles the per-pump send buffers below across broadcasts
-	// (factory-built nodes only; see NewFactory). The queues themselves
-	// are value slices, so steady-state pumping does not allocate.
+	// reuse recycles the broadcast buffer into spare after each ack
+	// (factory-built nodes only; see NewFactory). A node has at most one
+	// broadcast in flight, so one spare suffices.
 	reuse bool
-	bufs  struct {
-		leader LeaderMsg
-		search SearchMsg
-		resp   ResponseMsg
-		state  StateMsg
-	}
+	spare *Combined
 }
 
 // New returns a wPAXOS node for the given binary input. The paper studies
@@ -153,23 +140,9 @@ func NewGeneral(input amac.Value, cfg Config) *Node {
 		audit:     cfg.Audit,
 		seenProps: make(map[Proposition]bool),
 		stateTbl:  make(map[amac.NodeID]StateMsg),
-		chosen:    make(map[ProposalNum]*chosenTally),
+		chosen:    NewChosenWatch(cfg.N),
 		gossAcks:  make(map[amac.NodeID]bool),
 		gossNacks: make(map[amac.NodeID]bool),
-	}
-}
-
-// NewGeneralFactory returns a factory of NewGeneral nodes (with send-buffer
-// reuse; see NewFactory for the substrate caveat).
-func NewGeneralFactory(cfg Config) amac.Factory {
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("wpaxos: invalid network size %d", cfg.N))
-	}
-	return func(nc amac.NodeConfig) amac.Algorithm {
-		a := NewGeneral(nc.Input, cfg)
-		a.reuse = true
-		a.instrument(nc.Metrics)
-		return a
 	}
 }
 
@@ -198,7 +171,6 @@ func (nd *Node) Start(api amac.API) {
 	nd.id = api.ID()
 	nd.det = NewDetector(nd.id, nd.n)
 	nd.det.Instrument(nd.mreg)
-	nd.change.init()
 	nd.tree.init(nd.id)
 	if nd.n == 1 {
 		// A singleton network has no peers to talk to; decide directly
@@ -212,7 +184,7 @@ func (nd *Node) Start(api amac.API) {
 
 // OnReceive implements amac.Algorithm.
 func (nd *Node) OnReceive(m amac.Message) {
-	c, ok := m.(Combined)
+	c, ok := m.(*Combined)
 	if !ok {
 		panic(fmt.Sprintf("wpaxos: unexpected message type %T", m))
 	}
@@ -243,8 +215,15 @@ func (nd *Node) OnReceive(m amac.Message) {
 // OnAck implements amac.Algorithm. The ack stream clocks the failure
 // detector: undecided nodes broadcast on every pump, so acks — and with
 // them silence checks — never stop arriving.
-func (nd *Node) OnAck(amac.Message) {
+func (nd *Node) OnAck(m amac.Message) {
 	nd.inflight = false
+	if nd.reuse {
+		// Every receiver is done with this broadcast (the NewFactory
+		// contract), so the buffer can be recycled.
+		c := m.(*Combined)
+		*c = Combined{}
+		nd.spare = c
+	}
 	now := nd.api.Now()
 	nd.det.NoteAck(now)
 	if !nd.decided {
@@ -268,67 +247,59 @@ func (nd *Node) pump() {
 	if nd.inflight {
 		return
 	}
-	var c Combined
-	any := false
-	if nd.decideQ != nil {
-		c.Decide, nd.decideQ = nd.decideQ, nil
-		any = true
+	var c *Combined
+	if nd.hasDecideQ {
+		c = nd.newMsg()
+		c.buf.decide = nd.decideQ
+		c.Decide = &c.buf.decide
+		nd.hasDecideQ = false
 	}
 	if !nd.decided {
-		lm := LeaderMsg{ID: nd.det.Gossip()}
-		if nd.reuse {
-			nd.bufs.leader = lm
-			c.Leader = &nd.bufs.leader
-		} else {
-			cp := lm
-			c.Leader = &cp
+		if c == nil {
+			c = nd.newMsg()
 		}
-		any = true
-		if m := nd.change.pop(); m != nil {
-			c.Change = m
+		c.buf.leader = LeaderMsg{ID: nd.det.Gossip()}
+		c.Leader = &c.buf.leader
+		if m, ok := nd.change.Current(); ok {
+			c.buf.change = m
+			c.Change = &c.buf.change
 		}
 		if m, ok := nd.tree.pop(); ok {
-			if nd.reuse {
-				nd.bufs.search = m
-				c.Search = &nd.bufs.search
-			} else {
-				cp := m
-				c.Search = &cp
-			}
+			c.buf.search = m
+			c.Search = &c.buf.search
 		}
-		if nd.propQ != nil {
-			c.Proposer = nd.propQ // sticky: retransmitted until superseded
-			if nd.propSent {
+		if m, ok, again := nd.propQ.Next(); ok {
+			c.buf.proposer = m
+			c.Proposer = &c.buf.proposer
+			if again {
 				nd.met.retransmits.Inc()
-			} else {
-				nd.propSent = true
 			}
 		}
 		if r, ok := nd.popResp(); ok {
-			if nd.reuse {
-				nd.bufs.resp = r
-				c.Response = &nd.bufs.resp
-			} else {
-				cp := r
-				c.Response = &cp
-			}
+			c.buf.response = r
+			c.Response = &c.buf.response
 		}
 		if st, ok := nd.popState(); ok {
-			if nd.reuse {
-				nd.bufs.state = st
-				c.State = &nd.bufs.state
-			} else {
-				cp := st
-				c.State = &cp
-			}
+			c.buf.state = st
+			c.State = &c.buf.state
 		}
 	}
-	if !any {
+	if c == nil {
 		return
 	}
 	nd.det.NoteSend(nd.api.Now())
 	nd.inflight = true
 	nd.api.Broadcast(c)
+}
+
+// newMsg takes the spare broadcast buffer, or allocates one.
+func (nd *Node) newMsg() *Combined {
+	c := nd.spare
+	if c == nil {
+		return &Combined{}
+	}
+	nd.spare = nil
+	return c
 }
 
 // popResp removes the first relayable response (one whose next hop toward
@@ -405,14 +376,14 @@ func (nd *Node) onSearch(m SearchMsg) {
 }
 
 func (nd *Node) localChange() {
-	nd.change.onChange(nd.api.Now(), nd.id)
+	nd.change.OnChange(nd.api.Now(), nd.id)
 	if nd.det.Omega() == nd.id {
 		nd.generateProposal()
 	}
 }
 
 func (nd *Node) onChange(m ChangeMsg) {
-	if !nd.change.receive(m) {
+	if !nd.change.Receive(m) {
 		return
 	}
 	nd.det.Novel(nd.api.Now())
@@ -425,8 +396,7 @@ func (nd *Node) onDecide(m DecideMsg) {
 	if nd.decided {
 		return
 	}
-	nd.decide(m.Val)
-	nd.decideQ = &DecideMsg{Val: m.Val} // flood onward
+	nd.decideAndFlood(m.Val)
 }
 
 func (nd *Node) decide(v amac.Value) {
@@ -435,12 +405,17 @@ func (nd *Node) decide(v amac.Value) {
 	nd.api.Decide(v)
 }
 
+// decideAndFlood decides v and queues the decide flood.
+func (nd *Node) decideAndFlood(v amac.Value) {
+	nd.decide(v)
+	nd.hasDecideQ = true
+	nd.decideQ = DecideMsg{Val: v}
+}
+
 // ---- Proposer flood and acceptor role ----
 
 func (nd *Node) onProposer(m ProposerMsg) {
-	if nd.prop.maxTagSeen < m.Num.Tag {
-		nd.prop.maxTagSeen = m.Num.Tag
-	}
+	nd.prop.SeeTag(m.Num.Tag)
 	key := m.Proposition()
 	if nd.seenProps[key] {
 		return // flood dedup: relay and respond only on first sight
@@ -452,7 +427,7 @@ func (nd *Node) onProposer(m ProposerMsg) {
 	// is proposer-independent. The fast-path relay queue stays gated on
 	// the current leader (see respond); everyone else's counting flows
 	// through the state gossip.
-	nd.enqueueProp(m)
+	nd.propQ.Offer(m)
 	nd.respond(m)
 }
 
@@ -472,32 +447,12 @@ func (nd *Node) noteLeaderNum(num ProposalNum) {
 	}
 }
 
-// enqueueProp installs a proposer message in the flood queue, displacing
-// anything older (larger number wins; a propose supersedes the prepare of
-// the same number).
-func (nd *Node) enqueueProp(m ProposerMsg) {
-	cur := nd.propQ
-	if cur == nil || cur.Num.Less(m.Num) || (cur.Num == m.Num && cur.Kind == Prepare && m.Kind == Propose) {
-		nd.propQ = &m
-		nd.propSent = false
-	}
-}
-
 // respond runs the acceptor against a proposition, publishes the updated
 // acceptor state to the gossip layer, and routes the response toward the
 // proposer when the fast path applies.
 func (nd *Node) respond(m ProposerMsg) {
-	var r ResponseMsg
-	r.Prop = m.Proposition()
-	switch m.Kind {
-	case Prepare:
-		r.Positive, r.Prev, r.Committed = nd.acc.handlePrepare(m.Num)
-	case Propose:
-		r.Positive, r.Committed = nd.acc.handlePropose(m.Num, m.Val)
-	default:
-		panic(fmt.Sprintf("wpaxos: unknown proposer message kind %v", m.Kind))
-	}
-	r.Count = 1
+	r := ResponseMsg{Prop: m.Proposition(), Count: 1}
+	r.Positive, r.Prev, r.Committed = nd.acc.Respond(m)
 	if r.Positive {
 		nd.audit.addGenerated(r.Prop)
 	}
@@ -543,12 +498,7 @@ func (nd *Node) enqueueResp(r ResponseMsg) {
 // node is the addressee and the proposer, relay it (re-aggregated) when
 // this node is the addressee but not the proposer, ignore it otherwise.
 func (nd *Node) onResponse(r ResponseMsg) {
-	if nd.prop.maxTagSeen < r.Committed.Tag {
-		nd.prop.maxTagSeen = r.Committed.Tag
-	}
-	if r.Prev != nil && nd.prop.maxTagSeen < r.Prev.Num.Tag {
-		nd.prop.maxTagSeen = r.Prev.Num.Tag
-	}
+	nd.seeResponseTags(r)
 	if r.Dest != nd.id {
 		return // unicast-over-broadcast: not addressed to us
 	}
@@ -566,7 +516,7 @@ func (nd *Node) onResponse(r ResponseMsg) {
 
 // noteOwnState publishes this node's acceptor state into the gossip table.
 func (nd *Node) noteOwnState() {
-	nd.mergeState(StateMsg{Origin: nd.id, Promised: nd.acc.promised, Accepted: nd.acc.accepted})
+	nd.mergeState(nd.acc.State(nd.id))
 }
 
 // mergeState merges a gossiped acceptor state: newer state per origin
@@ -585,28 +535,16 @@ func (nd *Node) mergeState(st StateMsg) {
 	}
 	nd.stateTbl[st.Origin] = st
 	nd.det.Novel(nd.api.Now())
-	if st.Accepted != nil {
-		nd.tallyChosen(*st.Accepted, st.Origin)
+	if p := st.Accepted; p != nil {
+		nd.decideChosen(nd.chosen.AcceptProposal(*p, st.Origin))
 	}
 	nd.countState(st)
 }
 
-// tallyChosen records that origin accepted p at some point. A majority of
-// acceptors having accepted the same proposal means its value is chosen
-// (the PAXOS chosen condition); any observer may decide it.
-func (nd *Node) tallyChosen(p Proposal, origin amac.NodeID) {
-	t := nd.chosen[p.Num]
-	if t == nil {
-		t = &chosenTally{val: p.Val, by: make(map[amac.NodeID]bool)}
-		nd.chosen[p.Num] = t
-	}
-	if t.by[origin] {
-		return
-	}
-	t.by[origin] = true
-	if !nd.decided && 2*len(t.by) > nd.n {
-		nd.decide(t.val)
-		nd.decideQ = &DecideMsg{Val: t.val}
+// decideChosen decides v when the chosen-value watch reports it chosen.
+func (nd *Node) decideChosen(v amac.Value, chosen bool) {
+	if chosen && !nd.decided {
+		nd.decideAndFlood(v)
 	}
 }
 
@@ -632,7 +570,7 @@ func (nd *Node) countState(st StateMsg) {
 	case propPreparing:
 		if st.Promised == num && !nd.gossAcks[st.Origin] {
 			nd.gossAcks[st.Origin] = true
-			nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, st.Accepted)
+			nd.prop.NotePrev(st.Accepted)
 			if 2*len(nd.gossAcks) > nd.n {
 				nd.beginPropose()
 			}
@@ -641,8 +579,7 @@ func (nd *Node) countState(st StateMsg) {
 		if st.Accepted != nil && st.Accepted.Num == num && !nd.gossAcks[st.Origin] {
 			nd.gossAcks[st.Origin] = true
 			if 2*len(nd.gossAcks) > nd.n {
-				nd.decide(nd.prop.value)
-				nd.decideQ = &DecideMsg{Val: nd.prop.value}
+				nd.decideAndFlood(nd.prop.value)
 			}
 		}
 	}
@@ -650,31 +587,42 @@ func (nd *Node) countState(st StateMsg) {
 
 // ---- Proposer logic ----
 
-// generateProposal is the change service's GenerateNewPAXOSProposal: start
-// a fresh proposal number, with a budget of two numbers per notification.
+// generateProposal is the change service's GenerateNewPAXOSProposal.
 func (nd *Node) generateProposal() {
 	if nd.decided {
 		return
 	}
-	nd.prop.triesLeft = 2
-	nd.startProposal()
+	nd.prepare(nd.prop.Generate(nd.id))
 }
 
-func (nd *Node) startProposal() {
+// prepare re-arms the tallies for a fresh number and originates its
+// prepare.
+func (nd *Node) prepare(m ProposerMsg) {
 	nd.met.proposals.Inc()
-	nd.prop.triesLeft--
-	tag := nd.prop.maxTagSeen + 1
-	nd.prop.maxTagSeen = tag
-	if tag > nd.maxTagUsed {
-		nd.maxTagUsed = tag
+	nd.resetTallies()
+	nd.originate(m)
+}
+
+// beginPropose moves a prepared proposal to the propose phase.
+func (nd *Node) beginPropose() {
+	m := nd.prop.BeginPropose(nd.input)
+	nd.resetTallies()
+	nd.originate(m)
+}
+
+// retry abandons the current number after a majority rejected it (see
+// Proposer.Retry).
+func (nd *Node) retry() {
+	nd.met.retries.Inc()
+	if m, ok := nd.prop.Retry(nd.id, nd.det.Omega()); ok {
+		nd.prepare(m)
 	}
-	nd.prop.num = ProposalNum{Tag: tag, ID: nd.id}
-	nd.prop.phase = propPreparing
-	nd.prop.acks, nd.prop.nacks = 0, 0
-	nd.prop.bestPrev = nil
+}
+
+func (nd *Node) resetTallies() {
+	nd.acks, nd.nacks = 0, 0
 	clear(nd.gossAcks)
 	clear(nd.gossNacks)
-	nd.originate(ProposerMsg{Kind: Prepare, Num: nd.prop.num})
 }
 
 // originate floods one of this node's own proposer messages and runs the
@@ -685,93 +633,49 @@ func (nd *Node) originate(m ProposerMsg) {
 	if nd.det.Omega() == nd.id {
 		nd.noteLeaderNum(m.Num)
 	}
-	nd.enqueueProp(m)
+	nd.propQ.Offer(m)
 	nd.respond(m)
+}
+
+// seeResponseTags folds the numbers a fast-path response carries into the
+// proposer's tag, so a retry out-numbers everything the rejecting
+// majority is committed to.
+func (nd *Node) seeResponseTags(r ResponseMsg) {
+	nd.prop.SeeTag(r.Committed.Tag)
+	if r.Prev != nil {
+		nd.prop.SeeTag(r.Prev.Num.Tag)
+	}
 }
 
 // consumeResponse is the proposer counting fast-path responses addressed
 // to itself.
 func (nd *Node) consumeResponse(r ResponseMsg) {
-	// Fold learned numbers into maxTagSeen here too: self-responses skip
-	// onResponse, and a retry must out-number everything the rejecting
-	// majority is committed to.
-	if nd.prop.maxTagSeen < r.Committed.Tag {
-		nd.prop.maxTagSeen = r.Committed.Tag
-	}
-	if r.Prev != nil && nd.prop.maxTagSeen < r.Prev.Num.Tag {
-		nd.prop.maxTagSeen = r.Prev.Num.Tag
-	}
+	// Self-responses skip onResponse, so fold their numbers here too.
+	nd.seeResponseTags(r)
 	if r.Positive {
 		nd.audit.addCounted(r.Prop, r.Count)
 	}
-	if nd.decided || r.Prop.Num != nd.prop.num {
+	if nd.decided || !nd.prop.Awaits(r.Prop) {
 		return // stale proposition
 	}
-	switch {
-	case nd.prop.phase == propPreparing && r.Prop.Kind == Prepare:
-		if r.Positive {
-			nd.prop.acks += r.Count
-			nd.prop.bestPrev = maxPrev(nd.prop.bestPrev, r.Prev)
-			if 2*nd.prop.acks > int64(nd.n) {
-				nd.beginPropose()
-			}
-		} else {
-			nd.met.nacks.Add(r.Count)
-			nd.prop.nacks += r.Count
-			if 2*nd.prop.nacks > int64(nd.n) {
-				nd.retry()
-			}
+	if !r.Positive {
+		nd.met.nacks.Add(r.Count)
+		nd.nacks += r.Count
+		if 2*nd.nacks > int64(nd.n) {
+			nd.retry()
 		}
-	case nd.prop.phase == propProposing && r.Prop.Kind == Propose:
-		if r.Positive {
-			nd.prop.acks += r.Count
-			if 2*nd.prop.acks > int64(nd.n) {
-				// A majority accepted: decide and flood.
-				nd.decide(nd.prop.value)
-				nd.decideQ = &DecideMsg{Val: nd.prop.value}
-			}
-		} else {
-			nd.met.nacks.Add(r.Count)
-			nd.prop.nacks += r.Count
-			if 2*nd.prop.nacks > int64(nd.n) {
-				nd.retry()
-			}
-		}
-	}
-}
-
-// beginPropose moves a prepared proposal to the propose phase, adopting the
-// highest-numbered previous proposal's value when one was reported
-// (Lemma 4.3's condition (b)), else this node's own input.
-func (nd *Node) beginPropose() {
-	nd.prop.phase = propProposing
-	nd.prop.acks, nd.prop.nacks = 0, 0
-	clear(nd.gossAcks)
-	clear(nd.gossNacks)
-	if nd.prop.bestPrev != nil {
-		nd.prop.value = nd.prop.bestPrev.Val
-	} else {
-		nd.prop.value = nd.input
-	}
-	nd.originate(ProposerMsg{Kind: Propose, Num: nd.prop.num, Val: nd.prop.value})
-}
-
-// retry abandons the current number after a majority rejected it. The
-// proposer has learned the largest committed number from the aggregated
-// rejections (already folded into maxTagSeen), so the next number — if the
-// two-numbers budget allows one and this node still believes it is the
-// leader — beats everything that majority is committed to. A node that
-// exhausts its budget goes idle; the failure detector's re-arm (or the
-// next change event) gives it a fresh budget, so no proposer is gated
-// forever while it believes itself leader.
-func (nd *Node) retry() {
-	nd.met.retries.Inc()
-	if nd.det.Omega() != nd.id || nd.prop.triesLeft <= 0 {
-		nd.prop.phase = propIdle
-		nd.prop.num = ProposalNum{}
 		return
 	}
-	nd.startProposal()
+	nd.acks += r.Count
+	if r.Prop.Kind == Prepare {
+		nd.prop.NotePrev(r.Prev)
+		if 2*nd.acks > int64(nd.n) {
+			nd.beginPropose()
+		}
+	} else if 2*nd.acks > int64(nd.n) {
+		// A majority accepted: decide and flood.
+		nd.decideAndFlood(nd.prop.value)
+	}
 }
 
 // ---- Introspection (used by experiments and tests) ----
@@ -792,7 +696,7 @@ func (nd *Node) ParentToLeader() amac.NodeID { return nd.tree.parentTo(nd.det.Om
 
 // MaxTagUsed returns the largest proposal tag this node proposed with
 // (0 when it never proposed); Lemma 4.4 bounds it polynomially in n.
-func (nd *Node) MaxTagUsed() int64 { return nd.maxTagUsed }
+func (nd *Node) MaxTagUsed() int64 { return nd.prop.MaxTagUsed() }
 
 var (
 	_ amac.Algorithm = (*Node)(nil)

@@ -16,46 +16,39 @@ import (
 // detector (detector.go); the leader slot of every broadcast now carries
 // membership gossip from Detector.Gossip.
 
-// changeService implements Algorithm 3 (change notification). Its queue
+// ChangeService implements Algorithm 3 (change notification). Its queue
 // holds the newest change — the largest timestamp wins — and re-broadcasts
 // it until a newer change supersedes it. Receivers deduplicate by
 // timestamp, so the retransmissions are idempotent. The caller is
 // responsible for invoking the proposer's GenerateNewPAXOSProposal when
-// receive reports true and the node currently believes it is the leader.
-type changeService struct {
-	lastChange int64 // -1 stands in for the paper's negative infinity
-	queue      *ChangeMsg
+// Receive reports true and the node currently believes it is the leader.
+// The zero value is ready to use: with nothing queued, the last change
+// seen is the paper's negative infinity.
+type ChangeService struct {
+	msg    ChangeMsg
+	queued bool
 }
 
-func (s *changeService) init() {
-	s.lastChange = -1
-	s.queue = nil
-}
-
-// onChange handles a local change event (Omega_u or dist[Omega_u]
+// OnChange handles a local change event (Omega_u or dist[Omega_u]
 // updated) at time now.
-func (s *changeService) onChange(now int64, self amac.NodeID) {
-	s.lastChange = now
-	s.queue = &ChangeMsg{T: now, ID: self}
+func (s *ChangeService) OnChange(now int64, self amac.NodeID) {
+	s.msg, s.queued = ChangeMsg{T: now, ID: self}, true
 }
 
-// receive processes <change, t, id>; it reports whether the message was
-// fresh (t beyond lastChange), in which case the queue was updated.
-func (s *changeService) receive(m ChangeMsg) bool {
-	if m.T <= s.lastChange {
+// Receive processes <change, t, id>; it reports whether the message was
+// fresh (t beyond the last change seen), in which case it is queued.
+func (s *ChangeService) Receive(m ChangeMsg) bool {
+	if s.queued && m.T <= s.msg.T {
 		return false
 	}
-	s.lastChange = m.T
-	s.queue = &ChangeMsg{T: m.T, ID: m.ID}
+	s.msg, s.queued = m, true
 	return true
 }
 
-// pop returns the current queue entry without clearing it: the newest
-// change is re-broadcast until superseded. The returned message is never
-// mutated in place (receive and onChange replace it wholesale), so the
-// shared pointer is safe on every substrate.
-func (s *changeService) pop() *ChangeMsg {
-	return s.queue
+// Current returns the queued change, if any, without dequeuing it: the
+// newest change is re-broadcast until superseded.
+func (s *ChangeService) Current() (ChangeMsg, bool) {
+	return s.msg, s.queued
 }
 
 // treeService implements Algorithm 4 (tree building): for every root id

@@ -1,6 +1,7 @@
 package wpaxos
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -46,27 +47,38 @@ func TestMaxPrev(t *testing.T) {
 }
 
 func TestChangeService(t *testing.T) {
-	var s changeService
-	s.init()
-	if s.queue != nil {
+	var s ChangeService
+	if _, ok := s.Current(); ok {
 		t.Fatal("fresh change service has queued message")
 	}
-	s.onChange(10, 4)
-	if m := s.pop(); m == nil || m.T != 10 || m.ID != 4 {
+	// Before any change, every timestamp is fresh — time 0 included.
+	var fresh ChangeService
+	if !fresh.Receive(ChangeMsg{T: 0, ID: 2}) {
+		t.Fatal("first change at time 0 rejected")
+	}
+	s.OnChange(10, 4)
+	if m, ok := s.Current(); !ok || m.T != 10 || m.ID != 4 {
 		t.Fatalf("queued %v", m)
 	}
-	// pop is sticky: the newest change stays queued until superseded.
-	if m := s.pop(); m == nil || m.T != 10 {
-		t.Fatalf("sticky pop %v", m)
+	// Current is sticky: the newest change stays queued until superseded.
+	if m, ok := s.Current(); !ok || m.T != 10 {
+		t.Fatalf("sticky current %v", m)
 	}
-	if s.receive(ChangeMsg{T: 9, ID: 1}) {
-		t.Fatal("stale timestamp accepted")
+	for _, tc := range []struct {
+		m     ChangeMsg
+		fresh bool
+	}{
+		{ChangeMsg{T: 9, ID: 1}, false},  // stale timestamp
+		{ChangeMsg{T: 10, ID: 1}, false}, // equal timestamp
+		{ChangeMsg{T: 11, ID: 1}, true},
+		{ChangeMsg{T: 11, ID: 7}, false}, // a duplicate of the new change
+	} {
+		if got := s.Receive(tc.m); got != tc.fresh {
+			t.Fatalf("Receive(%+v) = %v, want %v", tc.m, got, tc.fresh)
+		}
 	}
-	if s.receive(ChangeMsg{T: 10, ID: 1}) {
-		t.Fatal("equal timestamp accepted")
-	}
-	if !s.receive(ChangeMsg{T: 11, ID: 1}) {
-		t.Fatal("fresh timestamp rejected")
+	if m, _ := s.Current(); m != (ChangeMsg{T: 11, ID: 1}) {
+		t.Fatalf("queued %+v after the fresh change", m)
 	}
 }
 
@@ -160,39 +172,187 @@ func TestTreeQueueReprioritizeOnLeaderChange(t *testing.T) {
 }
 
 func TestAcceptorPrepare(t *testing.T) {
-	var a acceptorState
-	pos, prev, committed := a.handlePrepare(ProposalNum{1, 3})
-	if !pos || prev != nil || !committed.IsZero() {
-		t.Fatalf("first prepare: %v %v %v", pos, prev, committed)
+	var a Acceptor
+	prepare := func(num ProposalNum) ProposerMsg { return ProposerMsg{Kind: Prepare, Num: num} }
+	for _, tc := range []struct {
+		name      string
+		num       ProposalNum
+		positive  bool
+		committed ProposalNum
+	}{
+		{"first prepare", ProposalNum{1, 3}, true, ProposalNum{}},
+		// A smaller prepare is rejected with the committed number.
+		{"smaller prepare", ProposalNum{1, 2}, false, ProposalNum{1, 3}},
+		// Re-sending the same number is also rejected (not strictly larger).
+		{"equal prepare", ProposalNum{1, 3}, false, ProposalNum{1, 3}},
+		{"larger prepare", ProposalNum{2, 1}, true, ProposalNum{}},
+	} {
+		pos, prev, committed := a.Respond(prepare(tc.num))
+		if pos != tc.positive || prev != nil || committed != tc.committed {
+			t.Fatalf("%s: %v %v %v", tc.name, pos, prev, committed)
+		}
 	}
-	// A smaller prepare is rejected with the committed number.
-	pos, _, committed = a.handlePrepare(ProposalNum{1, 2})
-	if pos || committed != (ProposalNum{1, 3}) {
-		t.Fatalf("smaller prepare: %v %v", pos, committed)
-	}
-	// Re-sending the same number is also rejected (not strictly larger).
-	pos, _, _ = a.handlePrepare(ProposalNum{1, 3})
-	if pos {
-		t.Fatal("equal prepare accepted")
+	if st := a.State(5); st.Origin != 5 || st.Promised != (ProposalNum{2, 1}) || st.Accepted != nil {
+		t.Fatalf("state %+v", st)
 	}
 }
 
 func TestAcceptorProposeAndPrev(t *testing.T) {
-	var a acceptorState
-	a.handlePrepare(ProposalNum{1, 3})
-	pos, committed := a.handlePropose(ProposalNum{1, 3}, 1)
+	var a Acceptor
+	a.Respond(ProposerMsg{Kind: Prepare, Num: ProposalNum{1, 3}})
+	pos, _, committed := a.Respond(ProposerMsg{Kind: Propose, Num: ProposalNum{1, 3}, Val: 1})
 	if !pos || !committed.IsZero() {
 		t.Fatalf("propose at promised number: %v %v", pos, committed)
 	}
 	// A later prepare reports the accepted proposal.
-	pos, prev, _ := a.handlePrepare(ProposalNum{2, 2})
+	pos, prev, _ := a.Respond(ProposerMsg{Kind: Prepare, Num: ProposalNum{2, 2}})
 	if !pos || prev == nil || prev.Num != (ProposalNum{1, 3}) || prev.Val != 1 {
 		t.Fatalf("prepare after accept: %v %+v", pos, prev)
 	}
 	// A propose below the promise is rejected.
-	pos, committed = a.handlePropose(ProposalNum{1, 9}, 0)
+	pos, _, committed = a.Respond(ProposerMsg{Kind: Propose, Num: ProposalNum{1, 9}, Val: 0})
 	if pos || committed != (ProposalNum{2, 2}) {
 		t.Fatalf("stale propose: %v %v", pos, committed)
+	}
+}
+
+func TestChosenWatch(t *testing.T) {
+	num := ProposalNum{2, 7}
+	// A step learns the value (acceptor 0), records an acceptance without
+	// it, or (carry) an acceptance carrying it.
+	type step struct {
+		acceptor amac.NodeID
+		carry    bool
+		chosen   bool
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		steps []step
+	}{
+		// The flooding variant can count a majority of accepts before it
+		// sees the propose: it decides when the value arrives, not before.
+		{"majority before value", 5, []step{{1, false, false}, {2, false, false}, {3, false, false}, {0, false, true}}},
+		{"value first", 3, []step{{0, false, false}, {1, false, false}, {2, false, true}, {3, false, true}}},
+		// Exactly half is not a majority.
+		{"no decide at n/2", 4, []step{{0, false, false}, {1, false, false}, {2, false, false}, {3, false, true}}},
+		// A repeated acceptor neither counts nor reports.
+		{"repeated acceptor", 3, []step{{0, false, false}, {1, false, false}, {1, false, false}, {2, false, true}, {2, false, false}}},
+		{"acceptances carry the value", 3, []step{{1, true, false}, {1, true, false}, {2, true, true}}},
+	} {
+		w := NewChosenWatch(tc.n)
+		// Accepts of another number never count toward num.
+		w.AcceptProposal(Proposal{Num: ProposalNum{1, 7}, Val: 1}, 9)
+		for i, st := range tc.steps {
+			var v amac.Value
+			var chosen bool
+			switch {
+			case st.acceptor == 0:
+				v, chosen = w.Learn(num, 1)
+			case st.carry:
+				v, chosen = w.AcceptProposal(Proposal{Num: num, Val: 1}, st.acceptor)
+			default:
+				v, chosen = w.Accept(num, st.acceptor)
+			}
+			if chosen != st.chosen || (chosen && v != 1) {
+				t.Fatalf("%s: step %d reported (%d, %v), want chosen=%v", tc.name, i, v, chosen, st.chosen)
+			}
+		}
+	}
+}
+
+func TestPropQueue(t *testing.T) {
+	prep := func(tag int64) ProposerMsg { return ProposerMsg{Kind: Prepare, Num: ProposalNum{tag, 1}} }
+	prop := func(tag int64) ProposerMsg { return ProposerMsg{Kind: Propose, Num: ProposalNum{tag, 1}, Val: 1} }
+	var q PropQueue
+	if _, ok, _ := q.Next(); ok {
+		t.Fatal("empty queue yields a proposition")
+	}
+	for _, tc := range []struct {
+		name       string
+		offer      ProposerMsg
+		want       ProposerMsg
+		retransmit bool // whether the send after the offer is a retransmission
+	}{
+		{"first proposition", prep(2), prep(2), false},
+		{"older number ignored", prop(1), prep(2), true},
+		{"equal prepare ignored", prep(2), prep(2), true},
+		{"propose replaces prepare of same number", prop(2), prop(2), false},
+		{"prepare never replaces propose of same number", prep(2), prop(2), true},
+		{"equal propose ignored", prop(2), prop(2), true},
+		{"larger number replaces", prep(3), prep(3), false},
+	} {
+		q.Offer(tc.offer)
+		m, ok, again := q.Next()
+		if !ok || m != tc.want || again != tc.retransmit {
+			t.Fatalf("%s: Next = %+v, %v, retransmit %v; want %+v, retransmit %v", tc.name, m, ok, again, tc.want, tc.retransmit)
+		}
+	}
+	// Replace takes the slot whatever is queued, as a first send.
+	q.Replace(prop(1))
+	if m, _, again := q.Next(); m != prop(1) || again {
+		t.Fatalf("after Replace: %+v retransmit %v", m, again)
+	}
+}
+
+func TestProposer(t *testing.T) {
+	const self, other amac.NodeID = 4, 9
+	prepare := func(tag int64) ProposerMsg { return ProposerMsg{Kind: Prepare, Num: ProposalNum{tag, self}} }
+	for _, tc := range []struct {
+		name    string
+		omega   amac.NodeID
+		retries int   // Retry calls after Generate
+		started []int // tags of the numbers Retry starts
+	}{
+		// Two numbers per change notification: Generate uses one, a
+		// single retry the other, and the next retry goes idle.
+		{"budget", self, 2, []int{2}},
+		{"not leader", other, 1, nil},
+	} {
+		var p Proposer
+		if m := p.Generate(self); m != prepare(1) || !p.Awaits(m.Proposition()) {
+			t.Fatalf("%s: Generate = %+v", tc.name, m)
+		}
+		var started []int
+		for i := 0; i < tc.retries; i++ {
+			if m, ok := p.Retry(self, tc.omega); ok {
+				started = append(started, int(m.Num.Tag))
+				if !p.Awaits(m.Proposition()) {
+					t.Fatalf("%s: retry %d does not await its prepare", tc.name, i)
+				}
+			}
+		}
+		if fmt.Sprint(started) != fmt.Sprint(tc.started) {
+			t.Fatalf("%s: retries started tags %v, want %v", tc.name, started, tc.started)
+		}
+		// The proposer ended idle: nothing counts, and it is numbered zero.
+		if p.Awaits(prepare(1).Proposition()) || p.Awaits(prepare(2).Proposition()) || !p.num.IsZero() {
+			t.Fatalf("%s: proposer not idle: %+v", tc.name, p)
+		}
+		// A change notification hands out a fresh budget.
+		if m := p.Generate(self); m.Num.Tag != int64(len(tc.started)+2) {
+			t.Fatalf("%s: Generate after idle = %+v", tc.name, m)
+		}
+	}
+
+	// Tags seen anywhere out-number the next proposal; the propose phase
+	// adopts the highest previous proposal's value, else the input.
+	var p Proposer
+	p.SeeTag(7)
+	p.SeeTag(3)
+	m := p.Generate(self)
+	if m != prepare(8) || p.MaxTagUsed() != 8 {
+		t.Fatalf("Generate after SeeTag = %+v, MaxTagUsed %d", m, p.MaxTagUsed())
+	}
+	if got := p.BeginPropose(0); got != (ProposerMsg{Kind: Propose, Num: m.Num, Val: 0}) || p.Value() != 0 {
+		t.Fatalf("propose without prev = %+v", got)
+	}
+	p.Generate(self)
+	p.NotePrev(&Proposal{Num: ProposalNum{2, 1}, Val: 1})
+	p.NotePrev(&Proposal{Num: ProposalNum{1, 5}, Val: 0})
+	p.NotePrev(nil)
+	if got := p.BeginPropose(0); got.Val != 1 || !p.Awaits(got.Proposition()) || p.Awaits(prepare(9).Proposition()) {
+		t.Fatalf("propose with prev = %+v", got)
 	}
 }
 

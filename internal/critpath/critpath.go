@@ -100,7 +100,7 @@ func ClassifierFor(algo string) Classifier {
 }
 
 func classifyWPaxos(m amac.Message) Phase {
-	c, ok := m.(wpaxos.Combined)
+	c, ok := m.(*wpaxos.Combined)
 	if !ok {
 		return PhaseOther
 	}

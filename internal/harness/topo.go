@@ -133,24 +133,44 @@ func ParseTopo(s string) (Topo, error) {
 	}
 }
 
-// String renders the topology in the ParseTopo grammar.
+// String renders the topology in the ParseTopo grammar. It formats with
+// strconv rather than fmt: sweeps call it once per cell, and fmt's pooled
+// printer re-allocates its per-P cache after every GC, which made the
+// pinned allocation count of a sweep depend on GC timing.
 func (t Topo) String() string {
+	var buf [48]byte
+	b := append(buf[:0], t.Kind...)
+	b = append(b, ':')
 	switch t.Kind {
 	case "grid":
-		return fmt.Sprintf("grid:%dx%d", t.Rows, t.Cols)
+		b = appendInts(b, 'x', t.Rows, t.Cols)
 	case "tree":
-		return fmt.Sprintf("tree:%dx%d", t.Branch, t.Depth)
+		b = appendInts(b, 'x', t.Branch, t.Depth)
 	case "starlines":
-		return fmt.Sprintf("starlines:%dx%d", t.Arms, t.ArmLen)
+		b = appendInts(b, 'x', t.Arms, t.ArmLen)
 	case "random":
-		return fmt.Sprintf("random:%d:%g", t.N, t.P)
+		b = appendInts(b, ':', t.N)
+		b = append(b, ':')
+		b = strconv.AppendFloat(b, t.P, 'g', -1, 64)
 	case "expander":
-		return fmt.Sprintf("expander:%d:%d", t.N, t.Deg)
+		b = appendInts(b, ':', t.N, t.Deg)
 	case "pods":
-		return fmt.Sprintf("pods:%d:%d:%d", t.Pods, t.PodSize, t.Cross)
+		b = appendInts(b, ':', t.Pods, t.PodSize, t.Cross)
 	default:
-		return fmt.Sprintf("%s:%d", t.Kind, t.N)
+		b = appendInts(b, ':', t.N)
 	}
+	return string(b)
+}
+
+// appendInts appends vs to b, separated by sep.
+func appendInts(b []byte, sep byte, vs ...int) []byte {
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, sep)
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
 }
 
 // MarshalText renders the compact grammar (so Topo JSON-encodes as a

@@ -21,7 +21,7 @@ func register() {
 	registerOnce.Do(func() {
 		RegisterMessages(
 			twophase.Phase1{}, twophase.Phase2{},
-			wpaxos.Combined{},
+			&wpaxos.Combined{},
 			gatherall.PairMsg{},
 		)
 	})
