@@ -59,7 +59,8 @@
 //     links per pod). The two seeded sparse families are degree-bounded
 //     and built for large n — expander:4096:8 and pods:64:64:4 sweep
 //     comfortably.
-//   - -facks: comma-separated positive integers.
+//   - -facks: comma-separated integers in 1..1048576 (sim.MaxFack, 2^20:
+//     the event queue's ring grows with Fack, 32 MiB at the limit).
 //   - -crashes: comma-separated crash patterns, grammar name[@T] — none,
 //     one@T (highest-index node crashes at T), coordinator (node 0
 //     crashes at Fack), midbroadcast (node 0 crashes at max(1, Fack/2),
@@ -134,7 +135,7 @@ func main() {
 	algo := flag.String("algo", "wpaxos", "algorithm: "+strings.Join(harness.Algorithms(), " | "))
 	topo := flag.String("topo", "line:8", "topology spec, e.g. clique:16, grid:4x4, random:24:0.1")
 	sched := flag.String("sched", "random", "scheduler: "+strings.Join(harness.Schedulers(), " | "))
-	fack := flag.Int64("fack", 4, "scheduler delivery bound Fack")
+	fack := flag.Int64("fack", 4, fmt.Sprintf("scheduler delivery bound Fack, in 1..%d (sim.MaxFack)", sim.MaxFack))
 	seed := flag.Int64("seed", 1, "random seed (scheduler, algorithm, random topology, crashes, overlay)")
 	inputs := flag.String("inputs", "alternating",
 		"input pattern (comma-separated list in sweep mode): "+strings.Join(harness.InputPatterns(), " | "))

@@ -209,25 +209,29 @@
 // its head. Both are O(1); a 36k-event backlog on expander:4096:8 costs
 // the same per operation as an empty queue.
 //
-// The pop order is byte-identical to the quaternary heap it replaced,
-// not approximately so. The engine's total order is (time, deliveries
-// before acks, insertion seq); seq is assigned monotonically and a FIFO
-// preserves insertion order, so one FIFO chain per (bucket, kind)
-// reproduces the order exactly: the cursor visits times in order, and
-// within a time the deliver chain drains before the ack chain, each in
-// seq order. Two escape hatches keep the structure exact: events past
-// the ring window (wrapping schedulers — Gate, SlowSubset — declare
-// horizons wider than their base) overflow into the old quaternary heap
-// and migrate into the ring as the cursor advances, strictly before any
-// new push can reach the exposed buckets; and events live in a dense
-// value slab indexed by int32 with an intrusive free chain, so the GC
-// never scans the queue and slab growth amortizes to one allocation per
-// doubling. Production engines size the ring to the scheduler's Fack.
-// The differential queue test in internal/sim sets an unexported window
-// through a test-only hook to force the pure reference heap and a
-// deliberately tiny ring that migrates constantly, and drives all three
-// through every registered scheduler, crash pattern and overlay family,
-// asserting identical event sequences, results and fingerprints.
+// The ring is the whole queue. It spans the smallest power of two above
+// the scheduler's declared Fack, so every admissible event has a bucket
+// and nothing ever overflows; wrapping schedulers (Gate, SlowSubset)
+// simply declare a wider Fack and get a wider ring. sim.MaxFack = 2^20
+// bounds the declared Fack — Config.Validate, Schedule.Validate and
+// harness.NewScheduler reject anything larger — which caps the ring at
+// 2^21 buckets, 32 MiB of bucket headers plus a 256 KiB bitmap; the
+// canonical grids run at Fack <= 8, a ring of 16 buckets. Events live in
+// a dense value slab indexed by int32 with an intrusive free chain, so
+// the GC never scans the queue and slab growth amortizes to one
+// allocation per doubling.
+//
+// The pop order is the model's total order — time, deliveries before
+// acks, insertion order — and is byte-identical to the quaternary heap
+// the ring replaced. One FIFO chain per (bucket, kind) reproduces it
+// exactly: the cursor visits times in order, and within a time the
+// deliver chain drains before the ack chain, each in insertion order.
+// That heap survives only in internal/sim/queue_test.go, as the oracle a
+// randomized test drives side by side with the ring (Facks from 1 to
+// 10^5, many co-timed deliveries and acks); and execution digests it
+// recorded — every registered scheduler × crash pattern × overlay
+// family, a seeded fuzz loop, and runs at Fack 5000 and 100000 — pin
+// the engine's event sequences, results and fingerprints end to end.
 //
 // # Observability
 //

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/absmac/absmac/internal/harness"
+	"github.com/absmac/absmac/internal/sim"
 )
 
 // stallCell is the canonical explorer and shrinker workload: two-phase
@@ -181,6 +182,17 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 	if v := Classify(out2); v == nil || v.Kind != a.Violation.Kind {
 		t.Fatalf("decoded artifact reproduces %+v, want %s", v, a.Violation.Kind)
+	}
+	// A schedule bound above sim.MaxFack is an error, not an engine
+	// panic, at decode and at replay.
+	big := *a
+	big.Schedule = &sim.Schedule{Fack: sim.MaxFack + 1}
+	big.Scenario.Fack = sim.MaxFack + 1
+	if _, _, err := big.Replay(nil); err == nil {
+		t.Fatal("Replay accepted a schedule above sim.MaxFack")
+	}
+	if _, err := Decode(bytes.NewBufferString(`{"format": 1, "schedule": {"fack": 1048577}}`)); err == nil {
+		t.Fatal("Decode accepted a schedule above sim.MaxFack")
 	}
 	// Corrupt structure must be rejected at decode time.
 	bad := bytes.NewBufferString(`{"format": 99, "schedule": {"fack": 4}}`)

@@ -8,6 +8,8 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+
+	"github.com/absmac/absmac/internal/sim"
 )
 
 // This file is the shared sweep-axis flag grammar of the CLIs: cmd/amacsim
@@ -52,7 +54,7 @@ func RegisterAxisFlags(fs *flag.FlagSet, mode string) *AxisFlags {
 	a.Algos = str("algos", "wpaxos", mode+": comma-separated algorithms")
 	a.Topos = str("topos", "clique:8,grid:3x3", mode+": comma-separated topology specs")
 	a.Scheds = str("scheds", "sync,random", mode+": comma-separated schedulers")
-	a.Facks = str("facks", "4", mode+": comma-separated Fack values")
+	a.Facks = str("facks", "4", fmt.Sprintf("%s: comma-separated Fack values, each in 1..%d (sim.MaxFack)", mode, sim.MaxFack))
 	a.Crashes = str("crashes", "none", mode+": comma-separated crash patterns")
 	a.Overlays = str("overlays", "none", mode+": comma-separated overlay families")
 	a.Seeds = num("seeds", 8, mode+": seeds 1..k per cell")

@@ -228,7 +228,8 @@ func Schedulers() []string { return sortedKeys(schedulers) }
 
 // NewScheduler builds the named scheduler. The graph is consulted by
 // degree-driven schedulers (edgeorder); fack is ignored by schedulers whose
-// bound is structural.
+// bound is structural, so the sim.MaxFack limit is checked on the built
+// scheduler's declared bound.
 func NewScheduler(name string, fack, seed int64, g *graph.Graph) (sim.Scheduler, error) {
 	ctor, ok := schedulers[name]
 	if !ok {
@@ -237,7 +238,11 @@ func NewScheduler(name string, fack, seed int64, g *graph.Graph) (sim.Scheduler,
 	if fack <= 0 {
 		return nil, fmt.Errorf("harness: Fack=%d, need > 0", fack)
 	}
-	return ctor(fack, seed, g), nil
+	s := ctor(fack, seed, g)
+	if f := s.Fack(); f > sim.MaxFack {
+		return nil, fmt.Errorf("harness: scheduler %q declares Fack=%d, above the limit sim.MaxFack=%d", name, f, sim.MaxFack)
+	}
+	return s, nil
 }
 
 // --- input-pattern registry ---

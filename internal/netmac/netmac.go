@@ -147,6 +147,9 @@ func (a *api) Broadcast(m amac.Message) bool {
 		panic(fmt.Sprintf("netmac: node %d broadcast a nil message", a.nd.idx))
 	}
 	if a.inflight {
+		a.rt.resMu.Lock()
+		a.rt.res.Discards++
+		a.rt.resMu.Unlock()
 		return false
 	}
 	a.inflight = true

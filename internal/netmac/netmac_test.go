@@ -13,6 +13,7 @@ import (
 	"github.com/absmac/absmac/internal/core/twophase"
 	"github.com/absmac/absmac/internal/core/wpaxos"
 	"github.com/absmac/absmac/internal/graph"
+	"github.com/absmac/absmac/internal/live"
 )
 
 var registerOnce sync.Once
@@ -122,6 +123,47 @@ type silent struct{}
 func (silent) Start(amac.API)         {}
 func (silent) OnReceive(amac.Message) {}
 func (silent) OnAck(m amac.Message)   {}
+
+// ping is a one-field message for substrate-level tests.
+type ping struct{ From amac.NodeID }
+
+func (ping) IDCount() int { return 1 }
+
+// doubleSender broadcasts twice in Start — the second attempt finds the
+// first in flight and is discarded — then decides its input.
+type doubleSender struct{ cfg amac.NodeConfig }
+
+func (d doubleSender) Start(api amac.API) {
+	api.Broadcast(ping{From: d.cfg.ID})
+	api.Broadcast(ping{From: d.cfg.ID})
+	api.Decide(d.cfg.Input)
+}
+func (doubleSender) OnReceive(amac.Message) {}
+func (doubleSender) OnAck(amac.Message)     {}
+
+// TestDiscardsCounted: both wall-clock substrates count a broadcast
+// attempted while one is in flight in Result.Discards.
+func TestDiscardsCounted(t *testing.T) {
+	RegisterMessages(ping{})
+	inputs := mixed(3)
+	factory := func(c amac.NodeConfig) amac.Algorithm { return doubleSender{cfg: c} }
+	lres, err := live.Run(context.Background(), live.Config{Graph: graph.Clique(3), Inputs: inputs, Factory: factory})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nres, err := Run(context.Background(), Config{Graph: graph.Clique(3), Inputs: inputs, Factory: factory, RTO: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		res  *live.Result
+	}{{"live", lres}, {"netmac", &nres.Result}} {
+		if r.res.Discards < 1 {
+			t.Errorf("%s: Discards = %d after every node broadcast twice in Start, want >= 1", r.name, r.res.Discards)
+		}
+	}
+}
 
 func TestTimeoutOverUDP(t *testing.T) {
 	register()

@@ -42,7 +42,6 @@ type Engine struct {
 	crashAt  []int64
 
 	q      eventQueue
-	nexts  int64 // next event seq
 	now    int64
 	res    *Result
 	maxEvt int
@@ -64,9 +63,6 @@ type Engine struct {
 	// checkStops, set by tests, asserts the counter against the O(n)
 	// reference scan at every stop evaluation.
 	checkStops bool
-	// queueWindow, set by tests, overrides the calendar ring's span (see
-	// eventQueue); production engines keep it zero.
-	queueWindow int64
 
 	// Hot-path metric handles, re-registered at every Reset. With
 	// Config.Metrics nil these are zero handles and every mutation is one
@@ -110,10 +106,10 @@ func NewEngine(cfg Config) *Engine {
 
 // Reset re-arms the engine for a new configuration, reusing every buffer
 // the previous run left behind. No state leaks across runs: node states
-// (crash flags, decisions, in-flight broadcasts), the Result, the clock,
-// the event sequence counter and the queue are all reinitialized; events
-// still queued from a run stopped early (StopWhenDecided, MaxEvents) are
-// drained to the slab's free chain with their message references cleared.
+// (crash flags, decisions, in-flight broadcasts), the Result, the clock
+// and the queue are all reinitialized; events still queued from a run
+// stopped early (StopWhenDecided, MaxEvents) are drained to the slab's
+// free chain with their message references cleared.
 // It panics on configuration errors, exactly as Run does.
 func (e *Engine) Reset(cfg Config) {
 	if err := cfg.Validate(); err != nil {
@@ -123,9 +119,8 @@ func (e *Engine) Reset(cfg Config) {
 	// recycle them so the slab, not the allocator, feeds the next run —
 	// then re-arm the calendar ring for the new scheduler's horizon.
 	e.q.drain()
-	e.q.init(cfg.Scheduler.Fack(), e.queueWindow)
+	e.q.init(cfg.Scheduler.Fack())
 	e.cfg = cfg
-	e.nexts = 0
 	e.now = 0
 	n := cfg.Graph.N()
 	e.maxEvt = cfg.MaxEvents
@@ -261,10 +256,8 @@ func (e *Engine) crashedBy(i int, t int64) bool {
 	return at >= 0 && at < t
 }
 
-// push enqueues one event, stamping its insertion sequence.
+// push enqueues one event.
 func (e *Engine) push(ev event) {
-	ev.seq = e.nexts
-	e.nexts++
 	e.q.push(ev)
 	e.mQueueHigh.Set(int64(e.q.len()))
 }
@@ -314,7 +307,7 @@ func (e *Engine) broadcast(u int, m amac.Message) bool {
 	e.observe(Event{Kind: EventBroadcast, Time: e.now, Node: u, Message: m})
 
 	// Push deliveries in deterministic (reliable-then-unreliable,
-	// index-ordered) order: queue ties break by insertion sequence. Each
+	// index-ordered) order: queue ties break by insertion order. Each
 	// consumed slot is restored to NoDelivery in the same pass — exactly
 	// the slots the scheduler wrote, re-establishing the buffer invariant
 	// without a separate sweep (reliable slots are always written;

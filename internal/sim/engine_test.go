@@ -121,8 +121,8 @@ func TestEngineResetLeavesNoState(t *testing.T) {
 			t.Errorf("node %d keeps run state (decided=%v inflight=%v bseq=%d)", i, e.res.Decided[i], e.inflight[i], e.bseq[i])
 		}
 	}
-	if e.now != 0 || e.nexts != 0 {
-		t.Errorf("clock/seq not reset: now=%d nexts=%d", e.now, e.nexts)
+	if e.now != 0 || e.q.cur != 0 {
+		t.Errorf("clock/queue cursor not reset: now=%d cur=%d", e.now, e.q.cur)
 	}
 	res = e.Run()
 	for i, crashed := range res.Crashed {

@@ -274,13 +274,14 @@ func (s *Schedule) Truncate(k int) bool {
 	return true
 }
 
-// Validate performs the structural checks a replayer relies on: positive
-// Fack, sane slot counts, crash times non-negative and DeliverP in [0,1].
-// Per-step timing is checked live by Replay (a step whose times no longer
-// fit the replayed execution is a divergence, not an error).
+// Validate performs the structural checks a replayer relies on: Fack in
+// [1, MaxFack], sane slot counts, crash times non-negative and DeliverP
+// in [0,1]. Per-step timing is checked live by Replay (a step whose
+// times no longer fit the replayed execution is a divergence, not an
+// error).
 func (s *Schedule) Validate() error {
-	if s.Fack <= 0 {
-		return fmt.Errorf("sim: schedule declares Fack=%d, need > 0", s.Fack)
+	if s.Fack <= 0 || s.Fack > MaxFack {
+		return fmt.Errorf("sim: schedule declares Fack=%d, need 1..%d (sim.MaxFack)", s.Fack, MaxFack)
 	}
 	if s.DeliverP < 0 || s.DeliverP > 1 {
 		return fmt.Errorf("sim: schedule delivery probability %v outside [0,1]", s.DeliverP)

@@ -245,12 +245,17 @@ func TestSchedulePerturbationOps(t *testing.T) {
 }
 
 func TestScheduleValidate(t *testing.T) {
-	good := &Schedule{Fack: 4, Steps: []ScheduleStep{{NR: 1, Recv: []int64{1}, Ack: 1}}}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, good := range []*Schedule{
+		{Fack: 4, Steps: []ScheduleStep{{NR: 1, Recv: []int64{1}, Ack: 1}}},
+		{Fack: MaxFack},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, bad := range []*Schedule{
 		{Fack: 0},
+		{Fack: MaxFack + 1},
 		{Fack: 4, DeliverP: 1.5},
 		{Fack: 4, Crashes: []Crash{{Node: 0, At: -1}}},
 		{Fack: 4, Steps: []ScheduleStep{{NR: 3, Recv: []int64{1}, Ack: 1}}},

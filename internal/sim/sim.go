@@ -152,9 +152,14 @@ type Config struct {
 // DefaultMaxEvents bounds event processing when Config.MaxEvents is zero.
 const DefaultMaxEvents = 20_000_000
 
+// MaxFack is the largest delivery bound a scheduler may declare. The
+// event queue's calendar ring spans the smallest power of two above Fack,
+// so this caps it at 2^21 buckets: 32 MiB of bucket headers.
+const MaxFack int64 = 1 << 20
+
 // Validate checks the configuration without running it: required fields,
-// input/id lengths, id uniqueness, scheduler Fack positivity, crash ranges
-// and the unreliable-graph contract. Run panics on exactly the errors
+// input/id lengths, id uniqueness, scheduler Fack in [1, MaxFack], crash
+// ranges and the unreliable-graph contract. Run panics on exactly the errors
 // Validate reports, so callers that assemble configurations from external
 // input (flags, sweep grids) can surface them as errors instead.
 func (cfg *Config) Validate() error {
@@ -171,8 +176,8 @@ func (cfg *Config) Validate() error {
 	if cfg.Scheduler == nil {
 		return fmt.Errorf("sim: Config.Scheduler is nil")
 	}
-	if cfg.Scheduler.Fack() <= 0 {
-		return fmt.Errorf("sim: scheduler declares Fack=%d, need > 0", cfg.Scheduler.Fack())
+	if f := cfg.Scheduler.Fack(); f <= 0 || f > MaxFack {
+		return fmt.Errorf("sim: scheduler declares Fack=%d, need 1..%d (sim.MaxFack)", f, MaxFack)
 	}
 	if cfg.IDs != nil {
 		if len(cfg.IDs) != n {
@@ -303,9 +308,9 @@ type Result struct {
 	MaxDecideTime int64
 	// Broadcasts, Deliveries, Acks and Discards count MAC-layer events.
 	Broadcasts, Deliveries, Acks, Discards int
-	// Events counts processed heap events.
+	// Events counts processed queue events.
 	Events int
-	// Quiescent reports that the event heap drained.
+	// Quiescent reports that the event queue drained.
 	Quiescent bool
 	// Cutoff reports that MaxEvents was reached.
 	Cutoff bool
@@ -336,13 +341,12 @@ func (r *Result) DecidedValues() []amac.Value {
 	return vals
 }
 
-// event is a queue entry. seq breaks time ties deterministically in
-// insertion order (see eventQueue in queue.go for the full order). Events
-// live in the queue's value slab; next is the intrusive link threading
-// both the per-bucket FIFO chains and the free chain.
+// event is a queue entry; co-timed events of one kind pop in insertion
+// order (see eventQueue in queue.go for the full order). Events live in
+// the queue's value slab; next is the intrusive link threading both the
+// per-bucket FIFO chains and the free chain.
 type event struct {
 	time int64
-	seq  int64
 	kind EventKind
 	node int // acted-on node (receiver for deliver, sender for ack)
 	peer int // sender for deliver

@@ -414,6 +414,8 @@ func TestConfigValidation(t *testing.T) {
 		{"id mismatch", func(c *Config) { c.IDs = []amac.NodeID{7} }},
 		{"bad crash node", func(c *Config) { c.Crashes = []Crash{{Node: 9, At: 1}} }},
 		{"negative crash time", func(c *Config) { c.Crashes = []Crash{{Node: 0, At: -2}} }},
+		{"Fack above MaxFack", func(c *Config) { c.Scheduler = NewRandom(MaxFack+1, 1) }},
+		{"wrapped Fack above MaxFack", func(c *Config) { c.Scheduler = Gate{Base: MaxDelay{F: MaxFack}, Until: 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
